@@ -10,15 +10,15 @@
 //! redirection as the calibrated [`AVATAR_SWITCH_COST`].
 
 use mams_coord::{CoordClient, CoordEvent, Incoming};
-use mams_core::{CpuModel, Ingress, MdsReq, MdsResp};
+use mams_core::{exec_op, CpuModel, Ingress, MdsReq, MdsResp};
 use mams_journal::{JournalBatch, ReplayCursor, Sn};
-use mams_namespace::NamespaceTree;
+use mams_namespace::ShardedNamespace;
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
 use mams_storage::pool::new_shared_pool;
 use mams_storage::proto::{PoolReq, PoolResp};
 use mams_storage::{DiskModel, PoolNode};
 
-use crate::common::{exec_op, reply, RetryCache, SavedCheckpoint, StandbyReplayer};
+use crate::common::{reply, RetryCache, SavedCheckpoint, StandbyReplayer};
 
 const T_FLUSH: u64 = 1;
 const T_TAIL: u64 = 2;
@@ -66,7 +66,7 @@ pub struct AvatarNode {
     role: AvRole,
     nfs: NodeId,
     coord: CoordClient,
-    ns: NamespaceTree,
+    ns: ShardedNamespace,
     next_block: u64,
     retry: RetryCache,
     cursor: ReplayCursor,
@@ -90,7 +90,7 @@ impl AvatarNode {
             role: if active { AvRole::Active } else { AvRole::Standby },
             nfs,
             coord: CoordClient::new(coord, Duration::from_secs(2)),
-            ns: NamespaceTree::new(),
+            ns: ShardedNamespace::new(),
             next_block: 1,
             retry: RetryCache::new(),
             cursor: ReplayCursor::new(),
@@ -111,7 +111,7 @@ impl AvatarNode {
             ctx.send(from, cached);
             return;
         }
-        match exec_op(&mut self.ns, &mut self.next_block, &op) {
+        match exec_op(&self.ns, &mut self.next_block, op) {
             Ok((txn, out)) => {
                 if let Some(txn) = txn {
                     self.pending_txns.push(txn);
@@ -148,7 +148,7 @@ impl AvatarNode {
 
     fn apply_tail(&mut self, batches: Vec<mams_journal::SharedBatch>) {
         for b in batches {
-            self.replayer.offer(&mut self.cursor, &mut self.ns, &mut self.next_block, &b);
+            self.replayer.offer(&mut self.cursor, &self.ns, &mut self.next_block, &b);
         }
         self.next_sn = self.cursor.max_sn() + 1;
     }
@@ -203,7 +203,7 @@ impl Node for AvatarNode {
                 // image I/O is covered by the calibrated switch cost.
                 let cp = SavedCheckpoint::save(&self.ns, self.next_block, self.cursor.max_sn());
                 match cp.restore() {
-                    Ok((tree, _)) => {
+                    Ok((ns, _)) => {
                         ctx.trace("avatar.image_checkpoint", || {
                             format!(
                                 "v{} image, {} B",
@@ -211,7 +211,7 @@ impl Node for AvatarNode {
                                 cp.image.size_bytes()
                             )
                         });
-                        self.ns = tree;
+                        self.ns = ns;
                         self.next_block = cp.next_block;
                     }
                     Err(e) => ctx.trace("avatar.image_corrupt", || e.to_string()),

@@ -11,12 +11,12 @@
 //! flat.
 
 use mams_coord::{CoordClient, Incoming};
-use mams_core::{CpuModel, Ingress, MdsReq, MdsResp};
+use mams_core::{exec_op, CpuModel, Ingress, MdsReq, MdsResp};
 use mams_journal::{JournalBatch, ReplayCursor, Sn};
-use mams_namespace::NamespaceTree;
+use mams_namespace::ShardedNamespace;
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
 
-use crate::common::{exec_op, reply, FsScale, RetryCache, SavedCheckpoint, StandbyReplayer};
+use crate::common::{reply, FsScale, RetryCache, SavedCheckpoint, StandbyReplayer};
 use mams_storage::DiskModel;
 
 const T_FLUSH: u64 = 1;
@@ -78,7 +78,7 @@ pub struct BnNode {
     role: BnRole,
     peer: Option<NodeId>,
     coord: CoordClient,
-    ns: NamespaceTree,
+    ns: ShardedNamespace,
     next_block: u64,
     retry: RetryCache,
     cursor: ReplayCursor,
@@ -101,7 +101,7 @@ impl BnNode {
             role: if role_primary { BnRole::Primary } else { BnRole::Backup },
             peer: None,
             coord: CoordClient::new(coord, Duration::from_secs(2)),
-            ns: NamespaceTree::new(),
+            ns: ShardedNamespace::new(),
             next_block: 1,
             retry: RetryCache::new(),
             cursor: ReplayCursor::new(),
@@ -151,7 +151,7 @@ impl BnNode {
         let cp = SavedCheckpoint::save(&self.ns, self.next_block, self.cursor.max_sn());
         let image_io = DiskModel::image_disk().io_time(2 * cp.image.size_bytes());
         match cp.restore() {
-            Ok((tree, _)) => {
+            Ok((ns, _)) => {
                 ctx.trace("bn.image_restart", || {
                     format!(
                         "v{} image, {} B",
@@ -159,7 +159,7 @@ impl BnNode {
                         cp.image.size_bytes()
                     )
                 });
-                self.ns = tree;
+                self.ns = ns;
                 self.next_block = cp.next_block;
             }
             Err(e) => ctx.trace("bn.image_corrupt", || e.to_string()),
@@ -180,7 +180,7 @@ impl BnNode {
             ctx.send(from, cached);
             return;
         }
-        match exec_op(&mut self.ns, &mut self.next_block, &op) {
+        match exec_op(&self.ns, &mut self.next_block, op) {
             Ok((txn, out)) => {
                 if let Some(txn) = txn {
                     self.pending_txns.push(txn);
@@ -269,12 +269,7 @@ impl Node for BnNode {
         let msg = match msg.downcast::<BnMsg>() {
             Ok(BnMsg::Stream { batch }) => {
                 if self.role == BnRole::Backup {
-                    self.replayer.offer(
-                        &mut self.cursor,
-                        &mut self.ns,
-                        &mut self.next_block,
-                        &batch,
-                    );
+                    self.replayer.offer(&mut self.cursor, &self.ns, &mut self.next_block, &batch);
                     self.next_sn = self.cursor.max_sn() + 1;
                 }
                 return;

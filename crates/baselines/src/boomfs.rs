@@ -14,12 +14,12 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use mams_coord::{CoordClient, Incoming};
-use mams_core::{CpuModel, FsOp, Ingress, IngressItem, MdsReq, MdsResp, OpOutput};
-use mams_namespace::NamespaceTree;
+use mams_core::{exec_op, CpuModel, FsOp, Ingress, IngressItem, MdsReq, MdsResp, OpOutput};
+use mams_namespace::ShardedNamespace;
 use mams_paxos::rsm::{RsmApp, RsmConfig, RsmMsg, RsmNode};
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
 
-use crate::common::{exec_op, RetryCache};
+use crate::common::RetryCache;
 
 /// Adapter timer tokens (RSM uses 1 and 2).
 const T_PUBLISH: u64 = 100;
@@ -247,13 +247,13 @@ impl Default for BoomFsSpec {
 
 /// The replicated application: a namespace driven by serialized [`FsOp`]s.
 pub struct NsApp {
-    ns: NamespaceTree,
+    ns: ShardedNamespace,
     next_block: u64,
 }
 
 impl NsApp {
     fn new() -> Self {
-        NsApp { ns: NamespaceTree::new(), next_block: 1 }
+        NsApp { ns: ShardedNamespace::new(), next_block: 1 }
     }
 }
 
@@ -262,13 +262,13 @@ impl RsmApp for NsApp {
         if let Some(op) = wire::decode_op(cmd) {
             // Validation happens at apply time in an RSM; a failed op is a
             // no-op on the state (all replicas agree on that too).
-            let _ = exec_op(&mut self.ns, &mut self.next_block, &op);
+            let _ = exec_op(&self.ns, &mut self.next_block, op);
         }
     }
 
     fn query(&mut self, q: &Bytes) -> Bytes {
         let result: Result<OpOutput, String> = match wire::decode_op(q) {
-            Some(op) => exec_op(&mut self.ns, &mut self.next_block, &op).map(|(_, out)| out),
+            Some(op) => exec_op(&self.ns, &mut self.next_block, op).map(|(_, out)| out),
             None => Err("malformed query".into()),
         };
         wire::encode_result(&result)

@@ -1,9 +1,10 @@
-//! Shared machinery for baseline namenodes: operation execution, batching,
-//! reply caching, and the scale model.
+//! Shared machinery for baseline namenodes: checkpoints, journal replay,
+//! reply caching, and the scale model. Operations execute through the same
+//! [`mams_core::exec_op`] the MAMS active uses.
 
-use mams_core::{FsOp, MdsResp, OpOutput};
+use mams_core::{MdsResp, OpOutput};
 use mams_journal::{JournalBatch, ReplayCursor, Sn, Txn};
-use mams_namespace::{ImageError, NamespaceImage, NamespaceTree, ReplaySession};
+use mams_namespace::{ImageError, NamespaceImage, ShardedNamespace, ShardedReplaySession};
 use mams_sim::{Ctx, NodeId};
 
 /// File-system scale for experiments that cannot materialize millions of
@@ -33,9 +34,7 @@ impl FsScale {
 
 /// A namenode checkpoint: the fsimage a restarting or taking-over node
 /// reloads (HDFS `-importCheckpoint` style), plus the block-id cursor that
-/// rides alongside it. Saved in the current wire format; images saved
-/// before the v2 cutover restore through the same call (the decoder
-/// dispatches on the version byte).
+/// rides alongside it.
 #[derive(Debug, Clone)]
 pub struct SavedCheckpoint {
     pub image: NamespaceImage,
@@ -43,86 +42,26 @@ pub struct SavedCheckpoint {
 }
 
 impl SavedCheckpoint {
-    /// Snapshot the namespace as a current-format image.
-    pub fn save(ns: &NamespaceTree, next_block: u64, sn: Sn) -> SavedCheckpoint {
-        SavedCheckpoint { image: mams_namespace::encode_image(ns, sn), next_block }
+    /// Snapshot the namespace as an image.
+    pub fn save(ns: &ShardedNamespace, next_block: u64, sn: Sn) -> SavedCheckpoint {
+        SavedCheckpoint { image: mams_namespace::encode_image(&ns.to_tree(), sn), next_block }
     }
 
-    /// Reload the image (either wire version) into a fresh namespace.
-    pub fn restore(&self) -> Result<(NamespaceTree, Sn), ImageError> {
-        mams_namespace::decode_image(self.image.data.clone())
-    }
-}
-
-/// Execute one client operation against a namespace, producing the journal
-/// record for mutations. Identical semantics to the MAMS active's execution
-/// path, so all systems agree on op outcomes.
-pub fn exec_op(
-    ns: &mut NamespaceTree,
-    next_block: &mut u64,
-    op: &FsOp,
-) -> Result<(Option<Txn>, OpOutput), String> {
-    match op {
-        FsOp::GetFileInfo { path } => {
-            ns.getfileinfo(path).map(|i| (None, OpOutput::Info(i))).map_err(|e| e.to_string())
-        }
-        FsOp::List { path } => {
-            ns.list(path).map(|l| (None, OpOutput::Listing(l))).map_err(|e| e.to_string())
-        }
-        FsOp::Create { path, replication } => ns
-            .create(path, *replication)
-            .map(|i| {
-                (
-                    Some(Txn::Create { path: path.clone(), replication: *replication }),
-                    OpOutput::Info(i),
-                )
-            })
-            .map_err(|e| e.to_string()),
-        FsOp::Mkdir { path } => ns
-            .mkdir(path)
-            .map(|()| (Some(Txn::Mkdir { path: path.clone() }), OpOutput::Done))
-            .map_err(|e| e.to_string()),
-        FsOp::Delete { path, recursive } => ns
-            .delete(path, *recursive)
-            .map(|_| {
-                (Some(Txn::Delete { path: path.clone(), recursive: *recursive }), OpOutput::Done)
-            })
-            .map_err(|e| e.to_string()),
-        FsOp::Rename { src, dst } => ns
-            .rename(src, dst)
-            .map(|()| (Some(Txn::Rename { src: src.clone(), dst: dst.clone() }), OpOutput::Done))
-            .map_err(|e| e.to_string()),
-        FsOp::AddBlock { path, len } => {
-            let id = *next_block;
-            ns.add_block(path, id)
-                .map(|()| {
-                    *next_block += 1;
-                    (
-                        Some(Txn::AddBlock { path: path.clone(), block_id: id, len: *len }),
-                        OpOutput::Block(id),
-                    )
-                })
-                .map_err(|e| e.to_string())
-        }
-        FsOp::CloseFile { path } => ns
-            .close_file(path)
-            .map(|()| (Some(Txn::CloseFile { path: path.clone() }), OpOutput::Done))
-            .map_err(|e| e.to_string()),
-        FsOp::SetPerm { path, perm } => ns
-            .set_perm(path, *perm)
-            .map(|()| (Some(Txn::SetPerm { path: path.clone(), perm: *perm }), OpOutput::Done))
-            .map_err(|e| e.to_string()),
+    /// Reload the image into a fresh namespace.
+    pub fn restore(&self) -> Result<(ShardedNamespace, Sn), ImageError> {
+        let (tree, sn) = mams_namespace::decode_image(self.image.data.clone())?;
+        Ok((ShardedNamespace::from_tree(tree), sn))
     }
 }
 
 /// Journal replay for a baseline standby: the same validate-skip
-/// [`ReplaySession`] fast path the MAMS standby uses, plus the block-id
+/// [`ShardedReplaySession`] fast path the MAMS standby uses, plus the block-id
 /// high-water mark every namenode keeps alongside its namespace — so
 /// replay-throughput comparisons across systems measure protocol
 /// differences, not apply-loop differences.
 #[derive(Debug, Default)]
 pub struct StandbyReplayer {
-    session: ReplaySession,
+    session: ShardedReplaySession,
 }
 
 impl StandbyReplayer {
@@ -141,7 +80,7 @@ impl StandbyReplayer {
     pub fn offer(
         &mut self,
         cursor: &mut ReplayCursor,
-        ns: &mut NamespaceTree,
+        ns: &ShardedNamespace,
         next_block: &mut u64,
         batch: &JournalBatch,
     ) {
@@ -192,15 +131,15 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_saves_v2_and_restores_identically() {
-        let mut ns = NamespaceTree::new();
+    fn checkpoint_restores_identically() {
+        let ns = ShardedNamespace::new();
         ns.mkdir_p("/srv/data").unwrap();
         for i in 0..10 {
             ns.create(&format!("/srv/data/f{i}"), 3).unwrap();
             ns.add_block(&format!("/srv/data/f{i}"), 100 + i).unwrap();
         }
         let cp = SavedCheckpoint::save(&ns, 111, 42);
-        assert_eq!(cp.image.version(), Some(mams_namespace::VERSION_V2));
+        assert_eq!(cp.image.version(), Some(mams_namespace::image::VERSION));
         let (restored, sn) = cp.restore().unwrap();
         assert_eq!(sn, 42);
         assert_eq!(cp.next_block, 111);
@@ -208,36 +147,20 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restores_legacy_v1_images() {
-        let mut ns = NamespaceTree::new();
-        ns.mkdir_p("/old/world").unwrap();
-        ns.create("/old/world/f", 2).unwrap();
-        // A checkpoint saved by a pre-v2 binary.
-        let cp = SavedCheckpoint { image: mams_namespace::encode_image_v1(&ns, 7), next_block: 9 };
-        assert_eq!(cp.image.version(), Some(mams_namespace::VERSION_V1));
-        let (restored, sn) = cp.restore().unwrap();
-        assert_eq!(sn, 7);
-        assert_eq!(restored.fingerprint(), ns.fingerprint());
-    }
-
-    #[test]
-    fn exec_op_matches_tree_semantics() {
-        let mut ns = NamespaceTree::new();
-        let mut nb = 1u64;
-        let (txn, _) = exec_op(&mut ns, &mut nb, &FsOp::Mkdir { path: "/a".into() }).unwrap();
-        assert!(matches!(txn, Some(Txn::Mkdir { .. })));
-        let (txn, out) =
-            exec_op(&mut ns, &mut nb, &FsOp::Create { path: "/a/f".into(), replication: 2 })
-                .unwrap();
-        assert!(matches!(txn, Some(Txn::Create { .. })));
-        assert!(matches!(out, OpOutput::Info(_)));
-        let (txn, _) =
-            exec_op(&mut ns, &mut nb, &FsOp::GetFileInfo { path: "/a/f".into() }).unwrap();
-        assert!(txn.is_none(), "reads are not journaled");
-        let err = exec_op(&mut ns, &mut nb, &FsOp::Mkdir { path: "/a".into() }).unwrap_err();
-        assert!(err.contains("already exists"));
-        // Block allocation advances the counter.
-        exec_op(&mut ns, &mut nb, &FsOp::AddBlock { path: "/a/f".into(), len: 42 }).unwrap();
-        assert_eq!(nb, 2);
+    fn standby_replay_tracks_block_ids() {
+        let ns = ShardedNamespace::new();
+        let mut next_block = 1;
+        let mut cursor = ReplayCursor::new();
+        let batch = JournalBatch::new(
+            1,
+            1,
+            vec![
+                Txn::Create { path: "/f".into(), replication: 1 },
+                Txn::AddBlock { path: "/f".into(), block_id: 41, len: 8 },
+            ],
+        );
+        StandbyReplayer::new().offer(&mut cursor, &ns, &mut next_block, &batch);
+        assert_eq!(next_block, 42);
+        assert_eq!(ns.getfileinfo("/f").unwrap().blocks, vec![41]);
     }
 }

@@ -12,15 +12,15 @@
 use std::collections::HashMap;
 
 use mams_coord::{CoordClient, CoordEvent, CoordResp, Incoming};
-use mams_core::{CpuModel, Ingress, MdsReq, MdsResp};
+use mams_core::{exec_op, CpuModel, Ingress, MdsReq, MdsResp};
 use mams_journal::{JournalBatch, ReplayCursor, Sn};
-use mams_namespace::NamespaceTree;
+use mams_namespace::ShardedNamespace;
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
 use mams_storage::pool::new_shared_pool;
 use mams_storage::proto::{PoolReq, PoolResp};
 use mams_storage::{DiskModel, PoolNode};
 
-use crate::common::{exec_op, reply, RetryCache, StandbyReplayer};
+use crate::common::{reply, RetryCache, StandbyReplayer};
 
 const T_FLUSH: u64 = 1;
 const T_TAIL: u64 = 2;
@@ -71,7 +71,7 @@ pub struct HaNameNode {
     role: HaRole,
     journals: Vec<NodeId>,
     coord: CoordClient,
-    ns: NamespaceTree,
+    ns: ShardedNamespace,
     next_block: u64,
     retry: RetryCache,
     cursor: ReplayCursor,
@@ -97,7 +97,7 @@ impl HaNameNode {
             role: if active { HaRole::Active } else { HaRole::Standby },
             journals,
             coord: CoordClient::new(coord, Duration::from_secs(2)),
-            ns: NamespaceTree::new(),
+            ns: ShardedNamespace::new(),
             next_block: 1,
             retry: RetryCache::new(),
             cursor: ReplayCursor::new(),
@@ -120,7 +120,7 @@ impl HaNameNode {
             ctx.send(from, cached);
             return;
         }
-        match exec_op(&mut self.ns, &mut self.next_block, &op) {
+        match exec_op(&self.ns, &mut self.next_block, op) {
             Ok((txn, out)) => {
                 if let Some(txn) = txn {
                     self.pending_txns.push(txn);
@@ -161,7 +161,7 @@ impl HaNameNode {
 
     fn apply_tail(&mut self, batches: Vec<mams_journal::SharedBatch>) {
         for b in batches {
-            self.replayer.offer(&mut self.cursor, &mut self.ns, &mut self.next_block, &b);
+            self.replayer.offer(&mut self.cursor, &self.ns, &mut self.next_block, &b);
         }
         self.next_sn = self.cursor.max_sn() + 1;
     }

@@ -3,11 +3,11 @@
 //! system is down, which is exactly the paper's motivation).
 
 use mams_coord::{CoordClient, Incoming};
-use mams_core::{CpuModel, Ingress, MdsReq};
-use mams_namespace::NamespaceTree;
+use mams_core::{exec_op, CpuModel, Ingress, MdsReq};
+use mams_namespace::ShardedNamespace;
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
 
-use crate::common::{exec_op, reply, RetryCache};
+use crate::common::{reply, RetryCache};
 
 const T_FLUSH: u64 = 1;
 /// Flush-completion timers are `T_DISK_BASE + token`.
@@ -38,7 +38,7 @@ impl Default for HdfsSpec {
 pub struct HdfsNameNode {
     spec: HdfsSpec,
     coord: CoordClient,
-    ns: NamespaceTree,
+    ns: ShardedNamespace,
     next_block: u64,
     retry: RetryCache,
     /// Mutation replies awaiting the next flush.
@@ -55,7 +55,7 @@ impl HdfsNameNode {
         HdfsNameNode {
             spec,
             coord: CoordClient::new(coord, Duration::from_secs(2)),
-            ns: NamespaceTree::new(),
+            ns: ShardedNamespace::new(),
             next_block: 1,
             retry: RetryCache::new(),
             pending: Vec::new(),
@@ -71,7 +71,7 @@ impl HdfsNameNode {
             ctx.send(from, cached);
             return;
         }
-        match exec_op(&mut self.ns, &mut self.next_block, &op) {
+        match exec_op(&self.ns, &mut self.next_block, op) {
             Ok((txn, out)) => {
                 if txn.is_some() {
                     self.pending.push((from, seq, Ok(out)));

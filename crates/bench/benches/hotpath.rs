@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use mams_journal::{decode_batch, encode_batch, JournalBatch, JournalLog, SharedBatch, Txn};
-use mams_namespace::NamespaceTree;
+use mams_namespace::ShardedNamespace;
 
 const BATCH_RECORDS: usize = 64;
 const STANDBYS: usize = 3;
@@ -88,8 +88,8 @@ fn bench_fan_out(c: &mut Criterion) {
 
 /// Build the 10k-inode tree the resolution benches walk: 100 directories
 /// of 100 files, three components deep.
-fn deep_tree() -> (NamespaceTree, Vec<String>) {
-    let mut tree = NamespaceTree::new();
+fn deep_tree() -> (ShardedNamespace, Vec<String>) {
+    let tree = ShardedNamespace::new();
     let mut paths = Vec::new();
     for d in 0..100 {
         let dir = format!("/bench/d{d}");

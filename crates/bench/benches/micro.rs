@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use mams_journal::{decode_batch, encode_batch, JournalBatch, ReplayCursor, Txn};
-use mams_namespace::{decode_image, encode_image, NamespaceTree, Partitioner};
+use mams_namespace::{decode_image, encode_image, Partitioner, ShardedNamespace};
 use mams_paxos::{Acceptor, Ballot, Proposer, ProposerEvent};
 
 fn sample_batch(records: usize) -> JournalBatch {
@@ -23,8 +23,8 @@ fn bench_journal(c: &mut Criterion) {
     g.bench_function("decode_64", |b| b.iter(|| decode_batch(encoded.clone()).unwrap()));
     g.bench_function("replay_64", |b| {
         b.iter_batched(
-            || (ReplayCursor::new(), NamespaceTree::new()),
-            |(mut cur, mut ns)| {
+            || (ReplayCursor::new(), ShardedNamespace::new()),
+            |(mut cur, ns)| {
                 let mut sink = |_: u64, t: &Txn| {
                     let _ = ns.apply(t);
                 };
@@ -41,11 +41,11 @@ fn bench_namespace(c: &mut Criterion) {
     g.bench_function("create", |b| {
         b.iter_batched(
             || {
-                let mut t = NamespaceTree::new();
+                let t = ShardedNamespace::new();
                 t.mkdir("/d").unwrap();
                 (t, 0u64)
             },
-            |(mut t, mut i)| {
+            |(t, mut i)| {
                 t.create(&format!("/d/f{i}"), 3).unwrap();
                 i += 1;
                 (t, i)
@@ -53,7 +53,7 @@ fn bench_namespace(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    let mut tree = NamespaceTree::new();
+    let tree = ShardedNamespace::new();
     tree.mkdir("/d").unwrap();
     for i in 0..10_000 {
         tree.create(&format!("/d/f{i}"), 3).unwrap();
@@ -71,11 +71,12 @@ fn bench_namespace(c: &mut Criterion) {
 
 fn bench_image(c: &mut Criterion) {
     let mut g = c.benchmark_group("image");
-    let mut tree = NamespaceTree::new();
-    tree.mkdir("/d").unwrap();
+    let ns = ShardedNamespace::new();
+    ns.mkdir("/d").unwrap();
     for i in 0..10_000 {
-        tree.create(&format!("/d/f{i}"), 3).unwrap();
+        ns.create(&format!("/d/f{i}"), 3).unwrap();
     }
+    let tree = ns.into_tree();
     g.bench_function("encode_10k_files", |b| b.iter(|| encode_image(&tree, 1)));
     let img = encode_image(&tree, 1);
     g.bench_function("decode_10k_files", |b| b.iter(|| decode_image(img.data.clone()).unwrap()));

@@ -1,11 +1,11 @@
-//! Wall-clock image-pipeline benchmark: encode/decode of namespace images
-//! in the legacy full-path v1 format vs the parent-id delta v2 format, plus
-//! chunked streaming decode — the work that dominates junior catch-up and
-//! the Table I MTTR sweep.
+//! Wall-clock image-pipeline benchmark: encode, buffered and chunked
+//! streaming decode of namespace images, plus delta fold and apply — the
+//! work that dominates junior catch-up and the Table I MTTR sweep.
 //!
-//! A fixed-seed generator builds realistic trees sized so their *v1* image
-//! lands in the 16/64/256 MB classes the paper sweeps, then each stage is
-//! timed best-of-5 (identical deterministic work per rep). Results go to
+//! A fixed-seed generator builds realistic namespaces sized so a full-path
+//! image of them (~72 B per file, the paper's image-size scale) lands in
+//! the 16/64/256 MB classes the paper sweeps, then each stage is timed
+//! best-of-5 (identical deterministic work per rep). Results go to
 //! `BENCH_image.json` at the repo root so successive PRs can track the
 //! perf trajectory.
 //!
@@ -17,16 +17,17 @@ use std::time::Instant;
 use bytes::Bytes;
 use mams_journal::Txn;
 use mams_namespace::{
-    apply_delta, decode_delta, decode_image, encode_image, encode_image_v1, fold_delta,
-    NamespaceTree, StreamingImageDecoder,
+    apply_delta, decode_delta, decode_image, encode_image, fold_delta, ShardedNamespace,
+    StreamingImageDecoder,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 0x4d41_4d53; // "MAMS"
-/// Approximate v1 bytes per file for the generated shape (path ~43 chars,
-/// fixed attrs, ~2 blocks) — used only to size the tree per class.
-const V1_BYTES_PER_FILE: u64 = 72;
+/// Approximate full-path image bytes per file for the generated shape
+/// (path ~43 chars, fixed attrs, ~2 blocks) — used only to size the
+/// namespace per class.
+const FULL_PATH_BYTES_PER_FILE: u64 = 72;
 /// Files per leaf directory.
 const FILES_PER_DIR: u64 = 256;
 /// Streaming-decode chunk size (the renewing default is the same order).
@@ -35,8 +36,8 @@ const CHUNK: usize = 64 * 1024;
 /// Deterministic tree with paper-like shape: two directory levels with
 /// realistic component names, `FILES_PER_DIR` files per leaf, 0–3 blocks
 /// per file.
-fn build_tree(target_files: u64, rng: &mut SmallRng) -> (NamespaceTree, Vec<String>) {
-    let mut t = NamespaceTree::new();
+fn build_tree(target_files: u64, rng: &mut SmallRng) -> (ShardedNamespace, Vec<String>) {
+    let t = ShardedNamespace::new();
     let mut paths = Vec::with_capacity(target_files as usize);
     let leaf_dirs = (target_files / FILES_PER_DIR).max(1);
     let tops = ((leaf_dirs as f64).sqrt().ceil() as u64).max(1);
@@ -74,7 +75,7 @@ fn build_tree(target_files: u64, rng: &mut SmallRng) -> (NamespaceTree, Vec<Stri
 /// and appended blocks) plus a fresh ingest directory, the shape a few
 /// seconds of mutations between delta cuts takes. Returns the journaled
 /// txns; `tree` ends at the post state the fold reads from.
-fn churn(tree: &mut NamespaceTree, paths: &[String], rng: &mut SmallRng) -> Vec<Txn> {
+fn churn(tree: &ShardedNamespace, paths: &[String], rng: &mut SmallRng) -> Vec<Txn> {
     let k = (paths.len() / 100).max(64);
     let mut txns = Vec::with_capacity(k + 1);
     let mk = Txn::Mkdir { path: "/ingest".into() };
@@ -120,13 +121,10 @@ struct ClassResult {
     class_mb: u64,
     files: u64,
     dirs: u64,
-    v1_bytes: u64,
-    v2_bytes: u64,
-    encode_v1_s: f64,
-    encode_v2_s: f64,
-    decode_v1_s: f64,
-    decode_v2_s: f64,
-    decode_v2_streaming_s: f64,
+    image_bytes: u64,
+    encode_s: f64,
+    decode_s: f64,
+    decode_streaming_s: f64,
     churn_txns: u64,
     delta_entries: u64,
     delta_bytes: u64,
@@ -136,75 +134,64 @@ struct ClassResult {
 
 fn run_class(class_mb: u64, reps: usize) -> ClassResult {
     let mut rng = SmallRng::seed_from_u64(SEED ^ class_mb);
-    let target_files = (class_mb * 1024 * 1024) / V1_BYTES_PER_FILE;
-    let (tree, paths) = build_tree(target_files, &mut rng);
+    let target_files = (class_mb * 1024 * 1024) / FULL_PATH_BYTES_PER_FILE;
+    let (ns, paths) = build_tree(target_files, &mut rng);
+    let fp = ns.fingerprint();
+    let tree = ns.into_tree();
 
-    let encode_v1_s = best_of(reps, || encode_image_v1(&tree, 1));
-    let encode_v2_s = best_of(reps, || encode_image(&tree, 1));
-    let v1 = encode_image_v1(&tree, 1);
-    let v2 = encode_image(&tree, 1);
+    let encode_s = best_of(reps, || encode_image(&tree, 1));
+    let img = encode_image(&tree, 1);
 
-    let decode_v1_s = best_of(reps, || decode_image(v1.data.clone()).unwrap());
-    let decode_v2_s = best_of(reps, || decode_image(v2.data.clone()).unwrap());
-    let decode_v2_streaming_s = best_of(reps, || {
+    let decode_s = best_of(reps, || decode_image(img.data.clone()).unwrap());
+    let decode_streaming_s = best_of(reps, || {
         let mut d = StreamingImageDecoder::new();
-        for c in v2.data.chunks(CHUNK) {
+        for c in img.data.chunks(CHUNK) {
             d.push(c).unwrap();
         }
         d.finish().unwrap()
     });
-
-    // Every decode path must reconstruct the same namespace.
-    let fp = tree.fingerprint();
-    for img in [&v1, &v2] {
-        let (t, _) = decode_image(Bytes::clone(&img.data)).unwrap();
-        assert_eq!(t.fingerprint(), fp, "decode mismatch at {class_mb} MB class");
-    }
+    // The decode must reconstruct the same namespace.
+    let (decoded, _) = decode_image(Bytes::clone(&img.data)).unwrap();
+    let installed = ShardedNamespace::from_tree(decoded);
+    assert_eq!(installed.fingerprint(), fp, "decode mismatch at {class_mb} MB class");
 
     // Delta mode: fold a ~1% churn window into a delta image — the
     // incremental checkpoint the active cuts between full images. Fold cost
     // and delta size are what make the cadence cheap; apply cost is the
     // junior's fast path.
-    let mut post = tree.clone();
-    let churn_txns = churn(&mut post, &paths, &mut rng);
+    let post = ShardedNamespace::from_tree(tree.clone());
+    let churn_txns = churn(&post, &paths, &mut rng);
     let fold_s = best_of(reps, || fold_delta(&post, 1, 1 + churn_txns.len() as u64, &churn_txns));
     let delta = fold_delta(&post, 1, 1 + churn_txns.len() as u64, &churn_txns);
     let decoded = decode_delta(&delta.data).unwrap();
     let delta_apply_s = {
         let mut best = f64::INFINITY;
         for _ in 0..reps {
-            let mut t = tree.clone();
+            let ns = ShardedNamespace::from_tree(tree.clone());
             let start = Instant::now();
-            apply_delta(&mut t, &decoded).unwrap();
+            apply_delta(&ns, &decoded).unwrap();
             best = best.min(start.elapsed().as_secs_f64());
-            assert_eq!(t.fingerprint(), post.fingerprint(), "delta apply mismatch");
+            assert_eq!(ns.fingerprint(), post.fingerprint(), "delta apply mismatch");
         }
         best
     };
 
     println!(
-        "class {class_mb:>4} MB: {} files | v1 {:>4} MB, v2 {:>4} MB ({:.2}x smaller) | \
-         decode v1 {:.3}s, v2 {:.3}s ({:.2}x), streaming {:.3}s | \
-         encode v1 {:.3}s, v2 {:.3}s ({:.2}x)",
+        "class {class_mb:>4} MB: {} files | image {:>4} MB | encode {:.3}s | \
+         decode {:.3}s, streaming {:.3}s",
         tree.num_files(),
-        v1.size_bytes() >> 20,
-        v2.size_bytes() >> 20,
-        v1.size_bytes() as f64 / v2.size_bytes() as f64,
-        decode_v1_s,
-        decode_v2_s,
-        decode_v1_s / decode_v2_s,
-        decode_v2_streaming_s,
-        encode_v1_s,
-        encode_v2_s,
-        encode_v1_s / encode_v2_s,
+        img.size_bytes() >> 20,
+        encode_s,
+        decode_s,
+        decode_streaming_s,
     );
     println!(
-        "  delta: {} txns fold to {} entries, {} KB ({:.0}x smaller than v2 image) | \
+        "  delta: {} txns fold to {} entries, {} KB ({:.0}x smaller than the image) | \
          fold {:.4}s, apply {:.4}s",
         churn_txns.len(),
         delta.entries,
         delta.size_bytes() >> 10,
-        v2.size_bytes() as f64 / delta.size_bytes() as f64,
+        img.size_bytes() as f64 / delta.size_bytes() as f64,
         fold_s,
         delta_apply_s,
     );
@@ -213,13 +200,10 @@ fn run_class(class_mb: u64, reps: usize) -> ClassResult {
         class_mb,
         files: tree.num_files(),
         dirs: tree.num_dirs(),
-        v1_bytes: v1.size_bytes(),
-        v2_bytes: v2.size_bytes(),
-        encode_v1_s,
-        encode_v2_s,
-        decode_v1_s,
-        decode_v2_s,
-        decode_v2_streaming_s,
+        image_bytes: img.size_bytes(),
+        encode_s,
+        decode_s,
+        decode_streaming_s,
         churn_txns: churn_txns.len() as u64,
         delta_entries: delta.entries,
         delta_bytes: delta.size_bytes(),
@@ -245,32 +229,22 @@ fn main() {
     for (i, r) in results.iter().enumerate() {
         doc.push_str(&format!(
             "    {{\n      \"class_mb\": {},\n      \"files\": {},\n      \"dirs\": {},\n      \
-             \"v1_bytes\": {},\n      \"v2_bytes\": {},\n      \
-             \"size_ratio_v1_over_v2\": {:.3},\n      \
-             \"encode_v1_s\": {:.6},\n      \"encode_v2_s\": {:.6},\n      \
-             \"encode_speedup_v2\": {:.3},\n      \
-             \"decode_v1_s\": {:.6},\n      \"decode_v2_s\": {:.6},\n      \
-             \"decode_v2_streaming_s\": {:.6},\n      \"decode_speedup_v2\": {:.3},\n      \
+             \"image_bytes\": {},\n      \"encode_s\": {:.6},\n      \
+             \"decode_s\": {:.6},\n      \"decode_streaming_s\": {:.6},\n      \
              \"churn_txns\": {},\n      \"delta_entries\": {},\n      \
-             \"delta_bytes\": {},\n      \"delta_vs_v2_size_ratio\": {:.1},\n      \
+             \"delta_bytes\": {},\n      \"delta_vs_image_size_ratio\": {:.1},\n      \
              \"fold_s\": {:.6},\n      \"delta_apply_s\": {:.6}\n    }}{}\n",
             r.class_mb,
             r.files,
             r.dirs,
-            r.v1_bytes,
-            r.v2_bytes,
-            r.v1_bytes as f64 / r.v2_bytes as f64,
-            r.encode_v1_s,
-            r.encode_v2_s,
-            r.encode_v1_s / r.encode_v2_s,
-            r.decode_v1_s,
-            r.decode_v2_s,
-            r.decode_v2_streaming_s,
-            r.decode_v1_s / r.decode_v2_s,
+            r.image_bytes,
+            r.encode_s,
+            r.decode_s,
+            r.decode_streaming_s,
             r.churn_txns,
             r.delta_entries,
             r.delta_bytes,
-            r.v2_bytes as f64 / r.delta_bytes as f64,
+            r.image_bytes as f64 / r.delta_bytes as f64,
             r.fold_s,
             r.delta_apply_s,
             if i + 1 == results.len() { "" } else { "," }

@@ -5,15 +5,14 @@
 //! A fixed-seed generator produces a directory-local mutation stream —
 //! creates, block allocations and closes walking leaf directories in order,
 //! with occasional renames and deletes — executed once against a scratch
-//! tree so every journaled record is valid, exactly like the active's
+//! namespace so every journaled record is valid, exactly like the active's
 //! execution path. The stream is then sealed into 64-record batches and
-//! replayed two ways:
+//! replayed two ways, each with naive per-record `ShardedNamespace::apply`
+//! and with the `ShardedReplaySession` fast path (validate-skip + cached
+//! parent handle):
 //!
 //! - **live**: batches already decoded (the standby's `SyncJournal` path);
-//!   naive per-record `NamespaceTree::apply` vs the `ReplaySession` fast
-//!   path (validate-skip + cached parent handle).
-//! - **cold**: wire bytes → decode + apply (the junior's catch-up path);
-//!   v1 wire + naive apply vs v2 wire + `ReplaySession`.
+//! - **cold**: wire bytes → decode + apply (the junior's catch-up path).
 //!
 //! The `--delta` mode adds the **delta catch-up** sweep: a junior restarting
 //! at the last checkpoint recovers either by fetching the latest *full*
@@ -33,9 +32,10 @@
 use std::time::Instant;
 
 use bytes::Bytes;
-use mams_journal::{decode_batch, encode_batch, encode_batch_v1, JournalBatch, Txn};
+use mams_journal::{decode_batch, encode_batch, JournalBatch, Txn};
 use mams_namespace::{
-    apply_delta, decode_delta, decode_image, encode_image, fold_delta, NamespaceTree, ReplaySession,
+    apply_delta, decode_delta, decode_image, encode_image, fold_delta, ShardedNamespace,
+    ShardedReplaySession,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,8 +46,8 @@ const FILES_PER_DIR: u64 = 128;
 
 /// The directory skeleton both the generator and every replay rep start
 /// from (a junior begins at the same checkpoint the stream was cut from).
-fn base_tree(leaf_dirs: u64) -> (NamespaceTree, Vec<String>) {
-    let mut t = NamespaceTree::new();
+fn base_tree(leaf_dirs: u64) -> (ShardedNamespace, Vec<String>) {
+    let t = ShardedNamespace::new();
     let mut dirs = Vec::new();
     let tops = ((leaf_dirs as f64).sqrt().ceil() as u64).max(1);
     let subs = leaf_dirs.div_ceil(tops);
@@ -69,10 +69,10 @@ fn base_tree(leaf_dirs: u64) -> (NamespaceTree, Vec<String>) {
 /// Execute a directory-local mutation stream against `tree`, returning the
 /// journaled records: per leaf dir, create/add-block/close a run of files,
 /// with a rename and a delete sprinkled in to exercise cache invalidation.
-fn generate_stream(tree: &mut NamespaceTree, dirs: &[String], rng: &mut SmallRng) -> Vec<Txn> {
+fn generate_stream(tree: &ShardedNamespace, dirs: &[String], rng: &mut SmallRng) -> Vec<Txn> {
     let mut txns = Vec::new();
     let mut block = 1u64;
-    let journal = |tree: &mut NamespaceTree, txns: &mut Vec<Txn>, txn: Txn| {
+    let journal = |tree: &ShardedNamespace, txns: &mut Vec<Txn>, txn: Txn| {
         tree.apply(&txn).unwrap();
         txns.push(txn);
     };
@@ -125,16 +125,17 @@ fn best_of<S, T>(reps: usize, mut setup: impl FnMut() -> S, mut f: impl FnMut(S)
 
 // --------------------------------------------------------- delta catch-up
 
-/// Approximate v1 bytes per file (same sizing rule as `bench_image`, so the
-/// 16/64/256 MB classes line up across the two benches).
-const V1_BYTES_PER_FILE: u64 = 72;
+/// Full-path image bytes per file (the paper's image-size scale; same
+/// sizing rule as `bench_image`, so the 16/64/256 MB classes line up
+/// across the two benches).
+const FULL_PATH_BYTES_PER_FILE: u64 = 72;
 /// Files per leaf directory in the class-sized tree.
 const CLASS_FILES_PER_DIR: u64 = 256;
 
 /// Deterministic class-sized tree (the junior's checkpoint state) plus
 /// every file path, for churn targeting.
-fn build_class_tree(target_files: u64, rng: &mut SmallRng) -> (NamespaceTree, Vec<String>) {
-    let mut t = NamespaceTree::new();
+fn build_class_tree(target_files: u64, rng: &mut SmallRng) -> (ShardedNamespace, Vec<String>) {
+    let t = ShardedNamespace::new();
     let mut paths = Vec::with_capacity(target_files as usize);
     let leaf_dirs = (target_files / CLASS_FILES_PER_DIR).max(1);
     let tops = ((leaf_dirs as f64).sqrt().ceil() as u64).max(1);
@@ -171,7 +172,7 @@ fn build_class_tree(target_files: u64, rng: &mut SmallRng) -> (NamespaceTree, Ve
 /// ends at the post state. `wave` keeps successive windows' ingest
 /// directories distinct.
 fn churn_window(
-    tree: &mut NamespaceTree,
+    tree: &ShardedNamespace,
     paths: &[String],
     rng: &mut SmallRng,
     wave: u32,
@@ -223,23 +224,24 @@ struct DeltaClassResult {
 /// One delta catch-up class: a junior at the checkpoint recovers to the
 /// chain end + journal tail, via full-image fetch vs delta apply.
 fn run_delta_class(class_mb: u64, reps: usize, rng: &mut SmallRng) -> DeltaClassResult {
-    let target_files = (class_mb * 1024 * 1024) / V1_BYTES_PER_FILE;
+    let target_files = (class_mb * 1024 * 1024) / FULL_PATH_BYTES_PER_FILE;
     let (base, paths) = build_class_tree(target_files, rng);
+    let base_image = base.into_tree();
     let base_sn = 1_000u64;
 
     // Churn since the checkpoint, folded into the delta the producer cut.
-    let mut live = base.clone();
-    let churn = churn_window(&mut live, &paths, rng, 0);
+    let live = ShardedNamespace::from_tree(base_image.clone());
+    let churn = churn_window(&live, &paths, rng, 0);
     let delta_end = base_sn + churn.len() as u64;
     let delta = fold_delta(&live, base_sn, delta_end, &churn);
 
     // The full-image path fetches the checkpoint the active would have had
     // to cut at the same point.
-    let full_image = encode_image(&live, delta_end);
+    let full_image = encode_image(&live.to_tree(), delta_end);
 
     // Windowed journal tail past the chain end — both paths replay it.
     let mut tail_rng = SmallRng::seed_from_u64(SEED ^ 0x7A11 ^ class_mb);
-    let tail = churn_window(&mut live, &paths, &mut tail_rng, 1);
+    let tail = churn_window(&live, &paths, &mut tail_rng, 1);
     let tail_wire: Vec<Bytes> = tail
         .chunks(BATCH_OPS)
         .enumerate()
@@ -248,8 +250,8 @@ fn run_delta_class(class_mb: u64, reps: usize, rng: &mut SmallRng) -> DeltaClass
     let tail_bytes: u64 = tail_wire.iter().map(|b| b.len() as u64).sum();
     let expected_fp = live.fingerprint();
 
-    let replay_tail = |tree: &mut NamespaceTree| {
-        let mut session = ReplaySession::new();
+    let replay_tail = |tree: &ShardedNamespace| {
+        let mut session = ShardedReplaySession::new();
         for w in &tail_wire {
             let b = decode_batch(w.clone()).unwrap();
             for (_, t) in b.entries() {
@@ -258,38 +260,40 @@ fn run_delta_class(class_mb: u64, reps: usize, rng: &mut SmallRng) -> DeltaClass
         }
     };
 
-    // Full-image recovery: decode the latest checkpoint from wire bytes
-    // (the junior's prior state is discarded), then replay the tail.
+    // Full-image recovery: decode the latest checkpoint from wire bytes and
+    // install it (the junior's prior state is discarded), then replay the
+    // tail.
     let full_recovery_s = best_of(
         reps,
         || (),
         |()| {
-            let (mut tree, sn) = decode_image(full_image.data.clone()).unwrap();
+            let (image, sn) = decode_image(full_image.data.clone()).unwrap();
             assert_eq!(sn, delta_end);
-            replay_tail(&mut tree);
-            assert_eq!(tree.fingerprint(), expected_fp, "full-image recovery divergence");
-            tree
+            let ns = ShardedNamespace::from_tree(image);
+            replay_tail(&ns);
+            assert_eq!(ns.fingerprint(), expected_fp, "full-image recovery divergence");
+            ns
         },
     );
 
     // Delta recovery: the junior keeps its checkpoint state and applies the
-    // folded churn, then replays the same tail. The clone models the state
+    // folded churn, then replays the same tail. The copy models the state
     // it already holds and runs outside the clock.
     let delta_recovery_s = best_of(
         reps,
-        || base.clone(),
-        |mut tree| {
+        || ShardedNamespace::from_tree(base_image.clone()),
+        |ns| {
             let d = decode_delta(&delta.data).unwrap();
-            apply_delta(&mut tree, &d).unwrap();
-            replay_tail(&mut tree);
-            assert_eq!(tree.fingerprint(), expected_fp, "delta recovery divergence");
-            tree
+            apply_delta(&ns, &d).unwrap();
+            replay_tail(&ns);
+            assert_eq!(ns.fingerprint(), expected_fp, "delta recovery divergence");
+            ns
         },
     );
 
     let r = DeltaClassResult {
         class_mb,
-        files: base.num_files(),
+        files: base_image.num_files(),
         churn_txns: churn.len() as u64,
         tail_txns: tail.len() as u64,
         full_bytes_fetched: full_image.size_bytes() + tail_bytes,
@@ -316,90 +320,46 @@ fn main() {
     let (leaf_dirs, reps) = if quick { (64u64, 2usize) } else { (1024, 5) };
 
     let mut rng = SmallRng::seed_from_u64(SEED);
-    let (mut scratch, dirs) = base_tree(leaf_dirs);
-    let txns = generate_stream(&mut scratch, &dirs, &mut rng);
+    let (scratch, dirs) = base_tree(leaf_dirs);
+    let txns = generate_stream(&scratch, &dirs, &mut rng);
     let expected_fp = scratch.fingerprint();
     let batches = seal_batches(&txns);
     let records = txns.len() as u64;
 
-    let v1_wire: Vec<Bytes> = batches.iter().map(encode_batch_v1).collect();
-    let v2_wire: Vec<Bytes> = batches.iter().map(encode_batch).collect();
-    let v1_bytes: u64 = v1_wire.iter().map(|b| b.len() as u64).sum();
-    let v2_bytes: u64 = v2_wire.iter().map(|b| b.len() as u64).sum();
+    let wire: Vec<Bytes> = batches.iter().map(encode_batch).collect();
+    let wire_bytes: u64 = wire.iter().map(|b| b.len() as u64).sum();
 
-    // Every replay path must land on the generator's namespace.
-    let check = |tree: &NamespaceTree, what: &str| {
-        assert_eq!(tree.fingerprint(), expected_fp, "replay divergence in {what}");
+    // Time one replay path from the base skeleton; every path must land on
+    // the generator's namespace.
+    let replay = |what: &str, session: bool, decode: bool| {
+        best_of(
+            reps,
+            || base_tree(leaf_dirs).0,
+            |ns| {
+                let mut fast = session.then(ShardedReplaySession::new);
+                for (b, w) in batches.iter().zip(&wire) {
+                    let decoded = decode.then(|| decode_batch(w.clone()).unwrap());
+                    for (_, t) in decoded.as_ref().unwrap_or(b).entries() {
+                        match &mut fast {
+                            Some(s) => s.apply(&ns, t).unwrap(),
+                            None => ns.apply(t).unwrap(),
+                        }
+                    }
+                }
+                assert_eq!(ns.fingerprint(), expected_fp, "replay divergence in {what}");
+                ns
+            },
+        )
     };
-
     // Live standby: batches are already decoded, only the apply loop runs.
-    let live_naive_s = best_of(
-        reps,
-        || base_tree(leaf_dirs).0,
-        |mut tree| {
-            for b in &batches {
-                for (_, t) in b.entries() {
-                    tree.apply(t).unwrap();
-                }
-            }
-            check(&tree, "live naive");
-            tree
-        },
-    );
-    let live_session_s = best_of(
-        reps,
-        || base_tree(leaf_dirs).0,
-        |mut tree| {
-            let mut session = ReplaySession::new();
-            for b in &batches {
-                for (_, t) in b.entries() {
-                    session.apply(&mut tree, t).unwrap();
-                }
-            }
-            check(&tree, "live session");
-            tree
-        },
-    );
-
+    let live_naive_s = replay("live naive", false, false);
+    let live_session_s = replay("live session", true, false);
     // Cold junior catch-up: wire bytes → decode + apply.
-    let cold_v1_naive_s = best_of(
-        reps,
-        || base_tree(leaf_dirs).0,
-        |mut tree| {
-            for w in &v1_wire {
-                let b = decode_batch(w.clone()).unwrap();
-                for (_, t) in b.entries() {
-                    tree.apply(t).unwrap();
-                }
-            }
-            check(&tree, "cold v1 naive");
-            tree
-        },
-    );
-    let cold_v2_session_s = best_of(
-        reps,
-        || base_tree(leaf_dirs).0,
-        |mut tree| {
-            let mut session = ReplaySession::new();
-            for w in &v2_wire {
-                let b = decode_batch(w.clone()).unwrap();
-                for (_, t) in b.entries() {
-                    session.apply(&mut tree, t).unwrap();
-                }
-            }
-            check(&tree, "cold v2 session");
-            tree
-        },
-    );
+    let cold_naive_s = replay("cold naive", false, true);
+    let cold_session_s = replay("cold session", true, true);
 
     let rate = |s: f64| records as f64 / s;
-    println!(
-        "{records} records in {} batches | wire v1 {} KB, v2 {} KB ({:.2}x smaller)",
-        batches.len(),
-        v1_bytes >> 10,
-        v2_bytes >> 10,
-        v1_bytes as f64 / v2_bytes as f64,
-    );
+    println!("{records} records in {} batches | wire {} KB", batches.len(), wire_bytes >> 10);
     println!(
         "live:  naive {:.0} rec/s, session {:.0} rec/s ({:.2}x)",
         rate(live_naive_s),
@@ -407,10 +367,10 @@ fn main() {
         live_naive_s / live_session_s,
     );
     println!(
-        "cold:  v1+naive {:.0} rec/s, v2+session {:.0} rec/s ({:.2}x)",
-        rate(cold_v1_naive_s),
-        rate(cold_v2_session_s),
-        cold_v1_naive_s / cold_v2_session_s,
+        "cold:  naive {:.0} rec/s, session {:.0} rec/s ({:.2}x)",
+        rate(cold_naive_s),
+        rate(cold_session_s),
+        cold_naive_s / cold_session_s,
     );
 
     // Delta catch-up sweep: always in the full run, opt-in for the CI
@@ -430,24 +390,20 @@ fn main() {
     let mut doc = format!(
         "{{\n  \"bench\": \"replay\",\n  \"seed\": {SEED},\n  \"reps\": {reps},\n  \
          \"records\": {records},\n  \"batches\": {},\n  \"batch_ops\": {BATCH_OPS},\n  \
-         \"wire_v1_bytes\": {v1_bytes},\n  \"wire_v2_bytes\": {v2_bytes},\n  \
-         \"wire_ratio_v1_over_v2\": {:.3},\n  \
+         \"wire_bytes\": {wire_bytes},\n  \
          \"live_naive_s\": {live_naive_s:.6},\n  \"live_session_s\": {live_session_s:.6},\n  \
          \"live_naive_records_per_s\": {:.0},\n  \"live_session_records_per_s\": {:.0},\n  \
          \"live_speedup_session\": {:.3},\n  \
-         \"cold_v1_naive_s\": {cold_v1_naive_s:.6},\n  \
-         \"cold_v2_session_s\": {cold_v2_session_s:.6},\n  \
-         \"cold_v1_naive_records_per_s\": {:.0},\n  \
-         \"cold_v2_session_records_per_s\": {:.0},\n  \
-         \"cold_speedup_v2_session\": {:.3}",
+         \"cold_naive_s\": {cold_naive_s:.6},\n  \"cold_session_s\": {cold_session_s:.6},\n  \
+         \"cold_naive_records_per_s\": {:.0},\n  \"cold_session_records_per_s\": {:.0},\n  \
+         \"cold_speedup_session\": {:.3}",
         batches.len(),
-        v1_bytes as f64 / v2_bytes as f64,
         rate(live_naive_s),
         rate(live_session_s),
         live_naive_s / live_session_s,
-        rate(cold_v1_naive_s),
-        rate(cold_v2_session_s),
-        cold_v1_naive_s / cold_v2_session_s,
+        rate(cold_naive_s),
+        rate(cold_session_s),
+        cold_naive_s / cold_session_s,
     );
     if !delta_results.is_empty() {
         doc.push_str(",\n  \"delta_catchup\": [\n");

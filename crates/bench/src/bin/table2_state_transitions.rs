@@ -100,16 +100,8 @@ fn main() {
     println!("  * B: unplugged members show '-' then rejoin as J and renew to S");
     println!("  * C: restarted processes register as J and renew to S");
     let to_json = |rows: &[(f64, Vec<String>)]| {
-        rows.iter()
-            .map(|(t, s)| {
-                // The offline `json!` stand-in discards its arguments; keep
-                // the fields visibly used in every build.
-                let _ = (t, s);
-                serde_json::json!({"t": t, "states": s})
-            })
-            .collect::<Vec<_>>()
+        rows.iter().map(|(t, s)| serde_json::json!({"t": t, "states": s})).collect::<Vec<_>>()
     };
-    let _ = (&a, &b, &c, &to_json);
     save_json(
         "table2_state_transitions",
         &serde_json::json!({ "test_a": to_json(&a), "test_b": to_json(&b), "test_c": to_json(&c) }),

@@ -6,6 +6,7 @@ use mams_sim::{Ctx, NodeId};
 use mams_storage::pool::PoolError;
 use mams_storage::proto::{PoolReq, PoolResp};
 
+use crate::exec::exec_op;
 use crate::proto::{FsOp, GroupMsg, MdsReq, MdsResp, OpOutput};
 use crate::server::{Inflight, MdsServer, PendingOp, PoolCtx, ReplyTo, Role, XgOutstanding};
 
@@ -78,7 +79,7 @@ impl MdsServer {
             return;
         }
         if !op.is_mutation() {
-            let result = self.exec_read(&op);
+            let result = self.exec_read(op);
             let resp = std::sync::Arc::new(MdsResp::Reply { seq, result });
             // Read barrier: the image may include mutations that are not
             // yet durable in the SSP. Releasing the reply now would let
@@ -145,7 +146,7 @@ impl MdsServer {
         }
         if !op.is_mutation() {
             if self.applied_watermark() >= min_token {
-                let result = self.exec_read(&op);
+                let result = self.exec_read(op);
                 let token = self.applied_watermark();
                 let resp = std::sync::Arc::new(MdsResp::ReplySpec { seq, result, token });
                 self.retry_cache.store(from, seq, resp.clone());
@@ -202,7 +203,7 @@ impl MdsServer {
         }
         let token = self.applied_watermark();
         for (_min_token, node, seq, op) in std::mem::take(&mut self.token_waits) {
-            let result = self.exec_read(&op);
+            let result = self.exec_read(op);
             let resp = std::sync::Arc::new(MdsResp::ReplySpec { seq, result, token });
             self.retry_cache.store(node, seq, resp.clone());
             ctx.send(node, resp);
@@ -235,77 +236,21 @@ impl MdsServer {
         }
     }
 
-    /// Serve a read against a pinned epoch snapshot. In this simulated node
-    /// the server is single-threaded, so the pin is vacuous here — but it is
-    /// the same path a threaded deployment uses (see `bench_hotpath
-    /// --threads`), and going through it keeps the snapshot machinery under
-    /// the full protocol test surface: a pinned read must observe exactly
-    /// the applied-and-published prefix, never a mutation mid-apply.
-    fn exec_read(&self, op: &FsOp) -> Result<OpOutput, String> {
-        let view = self.ns.pin();
-        match op {
-            FsOp::GetFileInfo { path } => {
-                view.getfileinfo(path).map(OpOutput::Info).map_err(|e| e.to_string())
-            }
-            FsOp::List { path } => {
-                view.list(path).map(OpOutput::Listing).map_err(|e| e.to_string())
-            }
-            _ => unreachable!("exec_read on a mutation"),
-        }
+    /// Serve a read (from a pinned epoch snapshot; see [`exec_op`]).
+    fn exec_read(&mut self, op: FsOp) -> Result<OpOutput, String> {
+        exec_op(&self.ns, &mut self.next_block_id, op).map(|(_, output)| output)
     }
 
     /// Validate + apply a mutation against our namespace, producing the
-    /// journal record. Errors are replied immediately and never journaled.
-    /// Consumes the op so its paths move into the record instead of being
-    /// cloned — on a create/rename-heavy mix the journal's strings are
-    /// allocated exactly once, at request decode.
+    /// journal record and registering any new block. Errors are replied
+    /// immediately and never journaled.
     fn exec_mutation(&mut self, op: FsOp) -> Result<(Txn, OpOutput), String> {
-        match op {
-            FsOp::Create { path, replication } => self
-                .ns
-                .create(&path, replication)
-                .map(|info| (Txn::Create { path, replication }, OpOutput::Info(info)))
-                .map_err(|e| e.to_string()),
-            FsOp::Mkdir { path } => self
-                .ns
-                .mkdir(&path)
-                .map(|()| (Txn::Mkdir { path }, OpOutput::Done))
-                .map_err(|e| e.to_string()),
-            FsOp::Delete { path, recursive } => self
-                .ns
-                .delete(&path, recursive)
-                .map(|_| (Txn::Delete { path, recursive }, OpOutput::Done))
-                .map_err(|e| e.to_string()),
-            FsOp::Rename { src, dst } => self
-                .ns
-                .rename(&src, &dst)
-                .map(|()| (Txn::Rename { src, dst }, OpOutput::Done))
-                .map_err(|e| e.to_string()),
-            FsOp::AddBlock { path, len } => {
-                let block_id = self.next_block_id;
-                self.ns
-                    .add_block(&path, block_id)
-                    .map(|()| {
-                        self.next_block_id += 1;
-                        self.blocks.register(block_id, len);
-                        (Txn::AddBlock { path, block_id, len }, OpOutput::Block(block_id))
-                    })
-                    .map_err(|e| e.to_string())
-            }
-            FsOp::CloseFile { path } => self
-                .ns
-                .close_file(&path)
-                .map(|()| (Txn::CloseFile { path }, OpOutput::Done))
-                .map_err(|e| e.to_string()),
-            FsOp::SetPerm { path, perm } => self
-                .ns
-                .set_perm(&path, perm)
-                .map(|()| (Txn::SetPerm { path, perm }, OpOutput::Done))
-                .map_err(|e| e.to_string()),
-            FsOp::GetFileInfo { .. } | FsOp::List { .. } => {
-                unreachable!("exec_mutation on a read")
-            }
+        let (txn, output) = exec_op(&self.ns, &mut self.next_block_id, op)?;
+        let txn = txn.expect("a mutation journals a record");
+        if let Txn::AddBlock { block_id, len, .. } = &txn {
+            self.blocks.register(*block_id, *len);
         }
+        Ok((txn, output))
     }
 
     pub(crate) fn enqueue_mutation(&mut self, ctx: &mut Ctx<'_>, op: FsOp, reply: ReplyTo) {
@@ -787,7 +732,7 @@ impl MdsServer {
 
     /// Write a namespace image to the SSP (compacts the shared journal).
     pub(crate) fn start_checkpoint(&mut self, ctx: &mut Ctx<'_>) {
-        // The image encoder works on the flat legacy layout; `to_tree`
+        // The image encoder works on the flat image form; `to_tree`
         // snapshots the sharded namespace into one (ids preserved, so the
         // image round-trips through `from_tree` on the junior unchanged).
         // The retry window rides inside the image so a junior restored from

@@ -23,6 +23,7 @@
 
 pub mod commit;
 pub mod config;
+pub mod exec;
 pub mod ingress;
 pub mod proto;
 pub mod retry;
@@ -35,6 +36,7 @@ mod renewing;
 
 pub use commit::GroupCommitPolicy;
 pub use config::{InitialRole, MdsConfig, MdsTiming};
+pub use exec::exec_op;
 pub use ingress::{CpuModel, Ingress, IngressItem};
 pub use proto::{FsOp, GroupMsg, MdsReq, MdsResp, OpOutput};
 pub use retry::RetryCache;

@@ -457,7 +457,7 @@ impl MdsServer {
                 // well-formed chain): applying it would skip records.
                 return Err(format!("delta chains onto {} but we are at {applied}", d.base_sn));
             }
-            mams_namespace::apply_delta(&mut self.ns, &d).map_err(|e| e.to_string())?;
+            mams_namespace::apply_delta(&self.ns, &d).map_err(|e| e.to_string())?;
             Ok((d.end_sn, d.window))
         });
         match outcome {

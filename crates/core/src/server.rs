@@ -432,7 +432,7 @@ impl MdsServer {
 
     /// Replay divergences observed (test hook; must be 0).
     pub fn divergences(&self) -> u64 {
-        self.divergences + self.ns.divergences()
+        self.divergences
     }
 
     /// Surface replica divergence on the trace (once per boot) so harnesses

@@ -34,10 +34,9 @@ use mams_journal::hash::{fnv1a64, HashingBuf};
 use mams_journal::{Sn, Txn};
 
 use crate::image::ImageError;
-use crate::inode::FileInfo;
 use crate::retry::RetryWindow;
 use crate::shard::ShardedNamespace;
-use crate::tree::{NamespaceTree, NsError};
+use crate::tree::NsError;
 
 /// Delta image magic ("MDLT").
 pub const DELTA_MAGIC: u32 = 0x4d44_4c54;
@@ -118,77 +117,6 @@ pub struct DecodedDelta {
     pub window: RetryWindow,
 }
 
-/// The namespace surface the fold and apply paths need, implemented by both
-/// the flat [`NamespaceTree`] (parity tests, pool compaction) and the
-/// [`ShardedNamespace`] a live replica runs (the renewing consumer).
-pub trait DeltaNamespace {
-    /// Final state of a path (`None` when absent).
-    fn info(&self, p: &str) -> Option<FileInfo>;
-    /// Child names of a directory (empty when absent or a file).
-    fn child_names(&self, p: &str) -> Vec<String>;
-    /// Recursive remove.
-    fn remove(&mut self, p: &str) -> Result<(), NsError>;
-    fn make_dir(&mut self, p: &str) -> Result<(), NsError>;
-    fn make_file(&mut self, p: &str, replication: u8) -> Result<(), NsError>;
-    fn push_block(&mut self, p: &str, block: u64) -> Result<(), NsError>;
-    fn seal_file(&mut self, p: &str) -> Result<(), NsError>;
-    fn chmod(&mut self, p: &str, perm: u16) -> Result<(), NsError>;
-}
-
-impl DeltaNamespace for NamespaceTree {
-    fn info(&self, p: &str) -> Option<FileInfo> {
-        self.getfileinfo(p).ok()
-    }
-    fn child_names(&self, p: &str) -> Vec<String> {
-        self.list(p).unwrap_or_default()
-    }
-    fn remove(&mut self, p: &str) -> Result<(), NsError> {
-        self.delete(p, true).map(|_| ())
-    }
-    fn make_dir(&mut self, p: &str) -> Result<(), NsError> {
-        self.mkdir(p)
-    }
-    fn make_file(&mut self, p: &str, replication: u8) -> Result<(), NsError> {
-        self.create(p, replication).map(|_| ())
-    }
-    fn push_block(&mut self, p: &str, block: u64) -> Result<(), NsError> {
-        self.add_block(p, block)
-    }
-    fn seal_file(&mut self, p: &str) -> Result<(), NsError> {
-        self.close_file(p)
-    }
-    fn chmod(&mut self, p: &str, perm: u16) -> Result<(), NsError> {
-        self.set_perm(p, perm)
-    }
-}
-
-impl DeltaNamespace for ShardedNamespace {
-    fn info(&self, p: &str) -> Option<FileInfo> {
-        self.getfileinfo(p).ok()
-    }
-    fn child_names(&self, p: &str) -> Vec<String> {
-        self.list(p).unwrap_or_default()
-    }
-    fn remove(&mut self, p: &str) -> Result<(), NsError> {
-        ShardedNamespace::delete(self, p, true).map(|_| ())
-    }
-    fn make_dir(&mut self, p: &str) -> Result<(), NsError> {
-        ShardedNamespace::mkdir(self, p)
-    }
-    fn make_file(&mut self, p: &str, replication: u8) -> Result<(), NsError> {
-        ShardedNamespace::create(self, p, replication).map(|_| ())
-    }
-    fn push_block(&mut self, p: &str, block: u64) -> Result<(), NsError> {
-        ShardedNamespace::add_block(self, p, block)
-    }
-    fn seal_file(&mut self, p: &str) -> Result<(), NsError> {
-        ShardedNamespace::close_file(self, p)
-    }
-    fn chmod(&mut self, p: &str, perm: u16) -> Result<(), NsError> {
-        ShardedNamespace::set_perm(self, p, perm)
-    }
-}
-
 // -------------------------------------------------------------------- fold
 
 /// Fold a journal range into a delta image.
@@ -202,8 +130,8 @@ impl DeltaNamespace for ShardedNamespace {
 /// recreated) ships its entire final subtree, because the consumer rebuilds
 /// it from scratch. "Churn" for sizing purposes therefore counts the
 /// subtrees moved by renames, not just the paths named in the journal.
-pub fn fold_delta<'a, N: DeltaNamespace>(
-    src: &N,
+pub fn fold_delta<'a>(
+    src: &ShardedNamespace,
     base_sn: Sn,
     end_sn: Sn,
     txns: impl IntoIterator<Item = &'a Txn>,
@@ -214,8 +142,8 @@ pub fn fold_delta<'a, N: DeltaNamespace>(
 /// [`fold_delta`] variant that embeds the producer's retry-outcome window as
 /// of `end_sn`, so consumers on the delta ladder inherit at-most-once state
 /// along with the namespace. An empty window is elided on the wire.
-pub fn fold_delta_with_window<'a, N: DeltaNamespace>(
-    src: &N,
+pub fn fold_delta_with_window<'a>(
+    src: &ShardedNamespace,
     base_sn: Sn,
     end_sn: Sn,
     txns: impl IntoIterator<Item = &'a Txn>,
@@ -249,7 +177,7 @@ pub fn fold_delta_with_window<'a, N: DeltaNamespace>(
     // surviving descendant must ride along.
     let mut subtree: Vec<String> = Vec::new();
     for p in &severed {
-        if src.info(p).is_some_and(|i| i.is_dir) {
+        if src.getfileinfo(p).is_ok_and(|i| i.is_dir) {
             collect_subtree(src, p, &mut subtree);
         }
     }
@@ -257,7 +185,7 @@ pub fn fold_delta_with_window<'a, N: DeltaNamespace>(
 
     let mut entries = Vec::with_capacity(touched.len());
     for path in touched {
-        match src.info(&path) {
+        match src.getfileinfo(&path).ok() {
             None => {
                 if path != "/" {
                     entries.push(DeltaEntry { path, op: DeltaOp::Tombstone });
@@ -287,12 +215,12 @@ pub fn fold_delta_with_window<'a, N: DeltaNamespace>(
     encode_delta_with_window(base_sn, end_sn, &entries, window)
 }
 
-fn collect_subtree<N: DeltaNamespace>(src: &N, root: &str, out: &mut Vec<String>) {
+fn collect_subtree(src: &ShardedNamespace, root: &str, out: &mut Vec<String>) {
     let mut stack = vec![root.to_string()];
     while let Some(p) = stack.pop() {
-        for name in src.child_names(&p) {
+        for name in src.list(&p).unwrap_or_default() {
             let child = if p == "/" { format!("/{name}") } else { format!("{p}/{name}") };
-            if src.info(&child).is_some_and(|i| i.is_dir) {
+            if src.getfileinfo(&child).is_ok_and(|i| i.is_dir) {
                 stack.push(child.clone());
             }
             out.push(child);
@@ -522,46 +450,46 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
 /// order, so parents materialize before their descendants. Errors indicate
 /// a delta applied against a state outside its covered range — the caller
 /// treats that exactly like corruption and falls back.
-pub fn apply_delta<N: DeltaNamespace>(ns: &mut N, delta: &DecodedDelta) -> Result<(), NsError> {
+pub fn apply_delta(ns: &ShardedNamespace, delta: &DecodedDelta) -> Result<(), NsError> {
     for e in &delta.entries {
         let p = e.path.as_str();
         match &e.op {
             DeltaOp::Tombstone => remove_if_present(ns, p)?,
             DeltaOp::ReplaceDir { perm } => {
                 remove_if_present(ns, p)?;
-                ns.make_dir(p)?;
-                ns.chmod(p, *perm)?;
+                ns.mkdir(p)?;
+                ns.set_perm(p, *perm)?;
             }
             DeltaOp::UpsertDir { perm } => {
-                match ns.info(p) {
-                    Some(i) if i.is_dir => {}
-                    Some(_) => {
+                match ns.getfileinfo(p) {
+                    Ok(i) if i.is_dir => {}
+                    Ok(_) => {
                         remove_if_present(ns, p)?;
-                        ns.make_dir(p)?;
+                        ns.mkdir(p)?;
                     }
-                    None => ns.make_dir(p)?,
+                    Err(_) => ns.mkdir(p)?,
                 }
-                ns.chmod(p, *perm)?;
+                ns.set_perm(p, *perm)?;
             }
             DeltaOp::UpsertFile { perm, replication, sealed, blocks } => {
                 remove_if_present(ns, p)?;
-                ns.make_file(p, *replication)?;
+                ns.create(p, *replication)?;
                 for b in blocks {
-                    ns.push_block(p, *b)?;
+                    ns.add_block(p, *b)?;
                 }
                 if *sealed {
-                    ns.seal_file(p)?;
+                    ns.close_file(p)?;
                 }
-                ns.chmod(p, *perm)?;
+                ns.set_perm(p, *perm)?;
             }
         }
     }
     Ok(())
 }
 
-fn remove_if_present<N: DeltaNamespace>(ns: &mut N, p: &str) -> Result<(), NsError> {
-    match ns.remove(p) {
-        Ok(()) | Err(NsError::NotFound(_)) => Ok(()),
+fn remove_if_present(ns: &ShardedNamespace, p: &str) -> Result<(), NsError> {
+    match ns.delete(p, true) {
+        Ok(_) | Err(NsError::NotFound(_)) => Ok(()),
         Err(e) => Err(e),
     }
 }
@@ -569,58 +497,67 @@ fn remove_if_present<N: DeltaNamespace>(ns: &mut N, p: &str) -> Result<(), NsErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Model;
 
-    fn base_tree() -> NamespaceTree {
-        let mut t = NamespaceTree::new();
-        t.mkdir_p("/data/logs").unwrap();
-        t.mkdir_p("/tmp").unwrap();
+    fn base_txns() -> Vec<Txn> {
+        let mut txns = vec![
+            Txn::Mkdir { path: "/data".into() },
+            Txn::Mkdir { path: "/data/logs".into() },
+            Txn::Mkdir { path: "/tmp".into() },
+        ];
         for i in 0..8 {
-            let p = format!("/data/logs/f{i}");
-            t.create(&p, 3).unwrap();
-            t.add_block(&p, 100 + i).unwrap();
+            let path = format!("/data/logs/f{i}");
+            txns.push(Txn::Create { path: path.clone(), replication: 3 });
+            txns.push(Txn::AddBlock { path, block_id: 100 + i, len: 1 });
         }
-        t
+        txns
     }
 
-    /// Run `txns` on a clone of `base`, fold them, apply the delta over the
-    /// original base, and require the results to agree.
-    fn fold_and_check(base: &NamespaceTree, txns: &[Txn]) -> DeltaImage {
-        let mut end = base.clone();
+    /// A namespace and the reference model after `txns` (all must apply).
+    fn replay(txns: &[Txn]) -> (ShardedNamespace, Model) {
+        let (ns, mut model) = (ShardedNamespace::new(), Model::new());
         for txn in txns {
-            let _ = end.apply(txn);
+            ns.apply(txn).unwrap();
+            model.apply(txn).unwrap();
+        }
+        (ns, model)
+    }
+
+    /// Run `txns` after the base, fold them, apply the delta over a fresh
+    /// base, and require it to land on the model's replay of the whole
+    /// history.
+    fn fold_and_check(txns: &[Txn]) -> DeltaImage {
+        let base = base_txns();
+        let (end, mut model) = replay(&base);
+        for txn in txns {
+            assert_eq!(end.apply(txn), model.apply(txn), "{txn:?}");
         }
         let delta = fold_delta(&end, 10, 20, txns.iter());
         let decoded = decode_delta(&delta.data).unwrap();
         assert_eq!((decoded.base_sn, decoded.end_sn), (10, 20));
-        let mut applied = base.clone();
-        apply_delta(&mut applied, &decoded).unwrap();
-        assert_eq!(applied.fingerprint(), end.fingerprint(), "tree apply parity");
-        // Sharded consumer path.
-        let mut sharded = ShardedNamespace::from_tree(base.clone());
-        apply_delta(&mut sharded, &decoded).unwrap();
-        assert_eq!(sharded.fingerprint(), end.fingerprint(), "sharded apply parity");
+        let (applied, _) = replay(&base);
+        apply_delta(&applied, &decoded).unwrap();
+        assert_eq!(applied.fingerprint(), model.fingerprint(), "apply parity");
         delta
     }
 
     #[test]
     fn last_writer_wins_folds_to_one_entry() {
-        let base = base_tree();
         let txns: Vec<Txn> = (0..50)
             .map(|i| Txn::AddBlock { path: "/data/logs/f0".to_string(), block_id: 500 + i, len: 1 })
             .collect();
-        let delta = fold_and_check(&base, &txns);
+        let delta = fold_and_check(&txns);
         assert_eq!(delta.entries, 1, "50 appends to one file fold to one entry");
     }
 
     #[test]
     fn deletes_fold_to_tombstones() {
-        let base = base_tree();
         let txns = vec![
             Txn::Delete { path: "/data/logs/f1".to_string(), recursive: false },
             Txn::Create { path: "/data/logs/g".to_string(), replication: 1 },
             Txn::Delete { path: "/tmp".to_string(), recursive: true },
         ];
-        let delta = fold_and_check(&base, &txns);
+        let delta = fold_and_check(&txns);
         let d = decode_delta(&delta.data).unwrap();
         let tombs: Vec<_> = d
             .entries
@@ -633,13 +570,12 @@ mod tests {
 
     #[test]
     fn create_then_delete_folds_to_single_tombstone() {
-        let base = base_tree();
         let txns = vec![
             Txn::Create { path: "/x".to_string(), replication: 1 },
             Txn::AddBlock { path: "/x".to_string(), block_id: 1, len: 1 },
             Txn::Delete { path: "/x".to_string(), recursive: false },
         ];
-        let delta = fold_and_check(&base, &txns);
+        let delta = fold_and_check(&txns);
         let d = decode_delta(&delta.data).unwrap();
         assert_eq!(d.entries.len(), 1);
         assert_eq!(d.entries[0].op, DeltaOp::Tombstone);
@@ -647,9 +583,8 @@ mod tests {
 
     #[test]
     fn renamed_directory_ships_its_subtree() {
-        let base = base_tree();
         let txns = vec![Txn::Rename { src: "/data".to_string(), dst: "/moved".to_string() }];
-        let delta = fold_and_check(&base, &txns);
+        let delta = fold_and_check(&txns);
         let d = decode_delta(&delta.data).unwrap();
         // Tombstone for /data, replace for /moved, plus /moved/logs and the
         // eight files under it.
@@ -663,7 +598,6 @@ mod tests {
 
     #[test]
     fn delete_and_recreate_replaces_instead_of_merging() {
-        let base = base_tree();
         // /data/logs holds f0..f7 at base; nuke it and recreate with one
         // file. A merge-upsert would resurrect the old files.
         let txns = vec![
@@ -671,14 +605,13 @@ mod tests {
             Txn::Mkdir { path: "/data/logs".to_string() },
             Txn::Create { path: "/data/logs/only".to_string(), replication: 1 },
         ];
-        fold_and_check(&base, &txns);
+        fold_and_check(&txns);
     }
 
     #[test]
     fn root_perm_change_folds_to_root_upsert() {
-        let base = base_tree();
         let txns = vec![Txn::SetPerm { path: "/".to_string(), perm: 0o700 }];
-        let delta = fold_and_check(&base, &txns);
+        let delta = fold_and_check(&txns);
         let d = decode_delta(&delta.data).unwrap();
         assert_eq!(d.entries.len(), 1);
         assert_eq!(d.entries[0].path, "/");
@@ -689,7 +622,7 @@ mod tests {
     fn applies_from_any_intermediate_state() {
         // The flat-MTTR invariant: a delta over (N, M] applied at any
         // S ∈ [N, M] lands on the state at M.
-        let base = base_tree();
+        let base = base_txns();
         let txns = vec![
             Txn::Create { path: "/a".to_string(), replication: 1 },
             Txn::Delete { path: "/data/logs/f3".to_string(), recursive: false },
@@ -699,34 +632,25 @@ mod tests {
             Txn::SetPerm { path: "/a".to_string(), perm: 0o600 },
             Txn::CloseFile { path: "/archive/f5".to_string() },
         ];
-        let mut end = base.clone();
-        for txn in &txns {
-            end.apply(txn).unwrap();
-        }
+        let all = [base.clone(), txns.clone()].concat();
+        let (end, model) = replay(&all);
         let delta = fold_delta(&end, 0, txns.len() as u64, txns.iter());
         let decoded = decode_delta(&delta.data).unwrap();
         // Apply over every prefix state S = 0..=len.
         for cut in 0..=txns.len() {
-            let mut state = base.clone();
-            for txn in &txns[..cut] {
-                state.apply(txn).unwrap();
-            }
-            apply_delta(&mut state, &decoded).unwrap();
-            assert_eq!(state.fingerprint(), end.fingerprint(), "applied at S={cut}");
+            let (state, _) = replay(&all[..base.len() + cut]);
+            apply_delta(&state, &decoded).unwrap();
+            assert_eq!(state.fingerprint(), model.fingerprint(), "applied at S={cut}");
         }
     }
 
     #[test]
     fn corruption_detected_at_every_byte() {
-        let base = base_tree();
         let txns = vec![
             Txn::Create { path: "/q".to_string(), replication: 1 },
             Txn::Delete { path: "/tmp".to_string(), recursive: true },
         ];
-        let mut end = base.clone();
-        for txn in &txns {
-            end.apply(txn).unwrap();
-        }
+        let (end, _) = replay(&[base_txns(), txns.clone()].concat());
         let delta = fold_delta(&end, 1, 3, txns.iter());
         assert!(decode_delta(&delta.data).is_ok());
         for i in 0..delta.data.len() {
@@ -742,12 +666,9 @@ mod tests {
     #[test]
     fn window_section_round_trips_and_empty_is_elided() {
         use crate::retry::{RetryEntry, RetryOutcome};
-        let base = base_tree();
+        let base = base_txns();
         let txns = vec![Txn::Create { path: "/w".to_string(), replication: 1 }];
-        let mut end = base.clone();
-        for txn in &txns {
-            end.apply(txn).unwrap();
-        }
+        let (end, model) = replay(&[base.clone(), txns.clone()].concat());
         let mut win = RetryWindow::new();
         win.record(3, 41, RetryEntry { outcome: RetryOutcome::Done, token: None });
         win.record(9, 2, RetryEntry { outcome: RetryOutcome::Block(777), token: Some(12) });
@@ -755,9 +676,9 @@ mod tests {
         let d = decode_delta(&with.data).unwrap();
         assert_eq!(d.window, win);
         // Applying still lands on the end state; the window rides alongside.
-        let mut applied = base.clone();
-        apply_delta(&mut applied, &d).unwrap();
-        assert_eq!(applied.fingerprint(), end.fingerprint());
+        let (applied, _) = replay(&base);
+        apply_delta(&applied, &d).unwrap();
+        assert_eq!(applied.fingerprint(), model.fingerprint());
         // An empty window writes the pre-extension bytes exactly.
         let plain = fold_delta(&end, 1, 2, txns.iter());
         let explicit = fold_delta_with_window(&end, 1, 2, txns.iter(), &RetryWindow::new());
@@ -768,12 +689,8 @@ mod tests {
     #[test]
     fn windowed_delta_corruption_detected_at_every_byte() {
         use crate::retry::{RetryEntry, RetryOutcome};
-        let base = base_tree();
         let txns = vec![Txn::Delete { path: "/tmp".to_string(), recursive: true }];
-        let mut end = base.clone();
-        for txn in &txns {
-            end.apply(txn).unwrap();
-        }
+        let (end, _) = replay(&[base_txns(), txns.clone()].concat());
         let mut win = RetryWindow::new();
         win.record(1, 1, RetryEntry { outcome: RetryOutcome::Done, token: None });
         let delta = fold_delta_with_window(&end, 1, 2, txns.iter(), &win);
@@ -800,18 +717,15 @@ mod tests {
 
     #[test]
     fn delta_is_smaller_than_full_image_for_small_churn() {
-        let mut base = NamespaceTree::new();
-        base.mkdir_p("/big/dir").unwrap();
+        let end = ShardedNamespace::new();
+        end.mkdir_p("/big/dir").unwrap();
         for i in 0..2000 {
-            base.create(&format!("/big/dir/f{i}"), 3).unwrap();
+            end.create(&format!("/big/dir/f{i}"), 3).unwrap();
         }
-        let txns = vec![Txn::Create { path: "/big/dir/new".to_string(), replication: 3 }];
-        let mut end = base.clone();
-        for txn in &txns {
-            end.apply(txn).unwrap();
-        }
+        let txns = [Txn::Create { path: "/big/dir/new".to_string(), replication: 3 }];
+        end.apply(&txns[0]).unwrap();
         let delta = fold_delta(&end, 1, 2, txns.iter());
-        let full = crate::image::encode_image(&end, 2);
+        let full = crate::image::encode_image(&end.to_tree(), 2);
         assert!(
             delta.size_bytes() * 20 < full.size_bytes(),
             "delta {} B vs full image {} B",

@@ -19,9 +19,10 @@ pub const DEFAULT_PERM: u16 = 0o755;
 pub enum Inode {
     Directory {
         /// Child name → inode id, kept sorted for deterministic iteration
-        /// and image encoding. Names are interned `Arc<str>` handles (see
-        /// `NamespaceTree`): the many repeated component names of a big
-        /// namespace share one allocation apiece.
+        /// and image encoding. Names are interned `Arc<str>` handles (by
+        /// each `ShardedNamespace` shard and by the image decoder): the many
+        /// repeated component names of a big namespace share one
+        /// allocation apiece.
         children: BTreeMap<Arc<str>, InodeId>,
         perm: u16,
     },

@@ -11,6 +11,8 @@
 //! Mutations are driven by [`mams_journal::Txn`] records so that live
 //! execution on the active and journal replay on a standby run the exact
 //! same code — the replay-determinism invariant the property tests check.
+//! [`ShardedNamespace`] is the one engine that executes and replays them;
+//! [`NamespaceTree`] is only the flat form an image decodes to.
 
 pub mod blocks;
 pub mod delta;
@@ -22,19 +24,26 @@ pub mod retry;
 pub mod shard;
 pub mod tree;
 
+// Unit tests share the integration suites' reference model, which names
+// this crate by its external path.
+#[cfg(test)]
+extern crate self as mams_namespace;
+#[cfg(test)]
+#[path = "../tests/model/mod.rs"]
+mod model;
+
 pub use blocks::{BlockInfo, BlockMap};
 pub use delta::{
     apply_delta, decode_delta, encode_delta, encode_delta_with_window, fold_delta,
-    fold_delta_with_window, peek_delta_range, DecodedDelta, DeltaEntry, DeltaImage, DeltaNamespace,
-    DeltaOp, DELTA_MAGIC, DELTA_VERSION,
+    fold_delta_with_window, peek_delta_range, DecodedDelta, DeltaEntry, DeltaImage, DeltaOp,
+    DELTA_MAGIC, DELTA_VERSION,
 };
 pub use image::{
-    decode_image, decode_image_with_window, encode_image, encode_image_v1,
-    encode_image_with_window, estimated_image_bytes, ImageError, NamespaceImage,
-    StreamingImageDecoder, VERSION_V1, VERSION_V2,
+    decode_image, decode_image_with_window, encode_image, encode_image_with_window,
+    estimated_image_bytes, ImageError, NamespaceImage, StreamingImageDecoder,
 };
 pub use inode::{FileInfo, Inode, InodeId};
 pub use partition::Partitioner;
 pub use retry::{replay_outcome, RetryEntry, RetryOutcome, RetryWindow, DEFAULT_WINDOW_CAP};
 pub use shard::{CacheStats, ShardedNamespace, ShardedReplaySession, SnapshotView};
-pub use tree::{NamespaceTree, NsError, ReplaySession};
+pub use tree::{NamespaceTree, NsError};

@@ -1,8 +1,10 @@
-//! A sharded namespace with epoch-snapshot reads.
+//! The namespace engine: a sharded inode tree with epoch-snapshot reads.
 //!
-//! [`NamespaceTree`] is a single mutable structure: one op at a time, reads
-//! blocking behind mutations. This module breaks that ceiling for the active
-//! server's hot path while keeping the replicated-state contract intact:
+//! [`ShardedNamespace`] is the only code that executes or replays namespace
+//! operations — on actives, standbys and juniors, in every baseline, and in
+//! pool compaction. A single mutable tree would run one op at a time with
+//! reads blocking behind mutations; this structure lifts that ceiling
+//! while keeping the replicated-state contract intact:
 //!
 //! * **Inode-id sharding.** Inodes live in N power-of-two shards keyed by
 //!   `id % N`, each behind its own `RwLock`. Directory entries, the interned
@@ -20,7 +22,7 @@
 //!   preserve the displaced version of each inode they touch in a per-slot
 //!   history chain (copy-on-write at inode granularity). When no pin is
 //!   registered — the common case on the hot path — mutations write in
-//!   place and the structure behaves like the legacy tree plus a lock.
+//!   place and the structure behaves like a plain tree behind a lock.
 //!
 //! * **Deterministic multi-shard lock order.** Ops that touch several shards
 //!   (mkdir, cross-directory file rename) lock them in ascending shard-index
@@ -49,23 +51,23 @@
 //!
 //! ### Replay parity
 //!
-//! Standbys replay journal records through [`ShardedReplaySession`] (the
-//! validate-skip analogue of [`ReplaySession`]) and juniors install decoded
-//! images via [`ShardedNamespace::from_tree`]; both produce a namespace whose
-//! [`fingerprint`] is byte-for-byte the legacy tree's over the same history —
-//! inode ids may differ (per-shard allocators), but the fingerprint hashes
-//! structure, names, and attributes, never ids. Property tests pin this
-//! parity (`tests/sharded_parity.rs`).
+//! Standbys replay journal records through [`ShardedReplaySession`] (a
+//! validate-skip fast path over [`ShardedNamespace::apply`]) and juniors
+//! install decoded images via [`ShardedNamespace::from_tree`]; all three
+//! produce the same [`fingerprint`] for the same history — inode ids may
+//! differ (per-shard allocators), but the fingerprint hashes structure,
+//! names, and attributes, never ids. Randomized suites hold every op result,
+//! read and fingerprint to a path-keyed reference model
+//! (`tests/sharded_parity.rs`, `tests/model`).
 //!
 //! [`pin`]: ShardedNamespace::pin
 //! [`fingerprint`]: ShardedNamespace::fingerprint
-//! [`ReplaySession`]: crate::tree::ReplaySession
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
 
-use mams_journal::{Apply, Txn, TxnId};
+use mams_journal::Txn;
 
 use crate::inode::{FileInfo, Inode, InodeId, DEFAULT_PERM, ROOT_ID};
 use crate::partition::fnv1a64;
@@ -81,29 +83,35 @@ pub const DEFAULT_SHARDS: usize = 16;
 const MAX_PINS: usize = 32;
 /// Sentinel for an unoccupied pin slot.
 const PIN_EMPTY: u64 = u64::MAX;
-/// Per-shard intern-table bound (legacy table split across shards).
+/// Per-shard intern-table bound.
 const SHARD_NAME_CAP: usize = 1 << 12;
 /// Per-shard resolution-cache bound.
 const SHARD_CACHE_CAP: usize = 1 << 10;
 
 /// One inode's versions. `stamp`/`node` is the newest version; `hist` holds
-/// displaced versions (oldest first) and is empty unless mutations ran while
-/// a snapshot pin was registered. `node == None` is a tombstone: the inode
-/// was deleted at `stamp` but an older version may still be pinned.
+/// displaced versions (oldest first) and is `None` unless mutations ran while
+/// a snapshot pin was registered — boxed, so a slot without history costs
+/// one word for it. `node == None` is a tombstone: the inode was deleted at
+/// `stamp` but an older version may still be pinned.
 #[derive(Debug)]
 struct Slot {
     stamp: Stamp,
     node: Option<Inode>,
-    hist: Vec<(Stamp, Option<Inode>)>,
+    #[allow(clippy::box_collection)] // one word instead of three (see above)
+    hist: Option<Box<Vec<Version>>>,
 }
+
+/// A displaced version: the stamp it was written at and the inode then
+/// (`None` for a tombstone).
+type Version = (Stamp, Option<Inode>);
 
 impl Slot {
     fn base(node: Inode) -> Slot {
-        Slot { stamp: 0, node: Some(node), hist: Vec::new() }
+        Slot { stamp: 0, node: Some(node), hist: None }
     }
 
     fn fresh(stamp: Stamp, node: Inode) -> Slot {
-        Slot { stamp, node: Some(node), hist: Vec::new() }
+        Slot { stamp, node: Some(node), hist: None }
     }
 
     /// Newest version (what unpinned readers and mutators see).
@@ -116,7 +124,8 @@ impl Slot {
         if self.stamp <= epoch {
             return self.node.as_ref();
         }
-        self.hist.iter().rev().find(|(s, _)| *s <= epoch).and_then(|(_, n)| n.as_ref())
+        let hist = self.hist.as_deref().map_or(&[][..], Vec::as_slice);
+        hist.iter().rev().find(|(s, _)| *s <= epoch).and_then(|(_, n)| n.as_ref())
     }
 
     /// Version visible at `epoch`, or newest when `epoch` is `None`.
@@ -137,14 +146,15 @@ impl Slot {
             return &mut self.node;
         }
         match keep {
-            None => self.hist.clear(),
+            None => self.hist = None,
             Some(w) => {
+                let hist = self.hist.get_or_insert_with(Box::default);
                 // Keep the newest history entry at-or-below the oldest pin
                 // (it serves that pin) and everything newer.
-                if let Some(pos) = self.hist.iter().rposition(|(s, _)| *s <= w) {
-                    self.hist.drain(..pos);
+                if let Some(pos) = hist.iter().rposition(|(s, _)| *s <= w) {
+                    hist.drain(..pos);
                 }
-                self.hist.push((self.stamp, self.node.clone()));
+                hist.push((self.stamp, self.node.clone()));
             }
         }
         self.stamp = stamp;
@@ -212,7 +222,8 @@ type PathBuild = std::hash::BuildHasherDefault<PathHasher>;
 struct ShardState {
     slots: HashMap<InodeId, Slot, IdBuild>,
     /// Interned child-name handles for entries living in this shard's
-    /// directories (same bounded-reset policy as the legacy table).
+    /// directories. Bounded: cleared when full; live names stay alive
+    /// through the directories that hold them and re-intern on next use.
     names: HashSet<Arc<str>, PathBuild>,
     /// Next inode id this shard hands out (always ≡ shard index mod N).
     next_id: InodeId,
@@ -248,8 +259,9 @@ struct Shard {
 /// One shard of the path → directory-id resolution cache (sharded by path
 /// hash, independently of the inode shards). Entries are stamped with the
 /// mutation that inserted them: an entry is valid for an unpinned reader
-/// whenever present (the legacy invalidation invariant — only delete/rename
-/// relocate a directory, and both remove the entry), and valid for a pinned
+/// whenever present (inode ids are never reused, directories never become
+/// files, and only delete/rename relocate a directory — both remove the
+/// entry and, for directories, every entry beneath it), and valid for a pinned
 /// reader at epoch `E` when its stamp is ≤ `E` (the binding has held
 /// continuously from the stamp to now, which covers `E`).
 struct CacheShard {
@@ -306,7 +318,6 @@ pub struct ShardedNamespace {
     pin_slots: Box<[AtomicU64]>,
     num_files: AtomicU64,
     num_dirs: AtomicU64,
-    divergences: AtomicU64,
 }
 
 impl std::fmt::Debug for ShardedNamespace {
@@ -367,13 +378,13 @@ impl ShardedNamespace {
             pin_slots: (0..MAX_PINS).map(|_| AtomicU64::new(PIN_EMPTY)).collect(),
             num_files: AtomicU64::new(0),
             num_dirs: AtomicU64::new(0),
-            divergences: AtomicU64::new(0),
         }
     }
 
-    /// Build from a legacy tree (the image-install path: the streaming
-    /// decoder produces a [`NamespaceTree`], the junior installs it here).
-    /// Ids are preserved; placement follows `id % N`.
+    /// Install a decoded image (the streaming decoder produces a flat
+    /// [`NamespaceTree`]; juniors, baselines and pool compaction install it
+    /// here). Inodes move, none is cloned. Ids are preserved; placement
+    /// follows `id % N`.
     pub fn from_tree(tree: NamespaceTree) -> Self {
         Self::from_tree_with_shards(tree, DEFAULT_SHARDS)
     }
@@ -385,10 +396,19 @@ impl ShardedNamespace {
         let (inodes, next_id, num_files, num_dirs) = tree.into_parts();
         {
             let mut guards: Vec<_> = ns.shards.iter().map(|s| s.state.write().unwrap()).collect();
+            // Size every slot table once: growing them while the image's
+            // table is still alive would hold both plus the growth garbage.
+            let mut per_shard = vec![0usize; guards.len()];
+            for id in inodes.keys() {
+                per_shard[(*id as usize) & ns.mask] += 1;
+            }
+            for (g, n) in guards.iter_mut().zip(per_shard) {
+                g.slots.reserve(n);
+            }
             for (id, inode) in inodes {
                 guards[(id as usize) & ns.mask].slots.insert(id, Slot::base(inode));
             }
-            // Each shard's allocator resumes above every legacy id.
+            // Each shard's allocator resumes above every image id.
             for (k, g) in guards.iter_mut().enumerate() {
                 let k = k as u64;
                 let base = next_id.max(1);
@@ -406,7 +426,7 @@ impl ShardedNamespace {
         ns
     }
 
-    /// Flatten the newest versions into a legacy tree (checkpoint encoding
+    /// Flatten the newest versions into the image form (checkpoint encoding
     /// goes through this; ids are preserved).
     pub fn to_tree(&self) -> NamespaceTree {
         let mut inodes = HashMap::new();
@@ -423,6 +443,23 @@ impl ShardedNamespace {
         NamespaceTree::from_parts(inodes, next_id, self.num_files(), self.num_dirs())
     }
 
+    /// [`to_tree`](Self::to_tree) by value: the newest versions move out,
+    /// so encoding a namespace that is no longer needed (pool compaction)
+    /// never holds two copies of it.
+    pub fn into_tree(self) -> NamespaceTree {
+        let (num_files, num_dirs) = (self.num_files(), self.num_dirs());
+        let mut shards = self.shards.into_vec();
+        let total = shards.iter_mut().map(|s| s.state.get_mut().unwrap().slots.len()).sum();
+        let mut inodes = HashMap::with_capacity(total);
+        let mut next_id: InodeId = 1;
+        for shard in shards {
+            let st = shard.state.into_inner().unwrap();
+            next_id = next_id.max(st.next_id);
+            inodes.extend(st.slots.into_iter().filter_map(|(id, slot)| Some((id, slot.node?))));
+        }
+        NamespaceTree::from_parts(inodes, next_id, num_files, num_dirs)
+    }
+
     /// Number of shards (always a power of two).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -436,11 +473,6 @@ impl ShardedNamespace {
     /// Number of directories, excluding the root.
     pub fn num_dirs(&self) -> u64 {
         self.num_dirs.load(Ordering::Relaxed)
-    }
-
-    /// Replay divergence count (must stay 0 in a correct deployment).
-    pub fn divergences(&self) -> u64 {
-        self.divergences.load(Ordering::Relaxed)
     }
 
     /// Resolution-cache hit/miss counters summed over shards (the bench
@@ -625,8 +657,7 @@ impl ShardedNamespace {
     /// (directories are the cached population, and dir resolution dominates
     /// this fast path — parent lookups for mutations), then a parent-dir
     /// probe (covers files with a warm parent), then the walk. Maintains
-    /// the hit/miss counters — a walk fallback is the "miss" the legacy
-    /// tree never recorded.
+    /// the hit/miss counters — a walk fallback is a miss.
     fn resolve(&self, p: &str, epoch: Option<Stamp>) -> Option<InodeId> {
         if p == "/" {
             return Some(ROOT_ID);
@@ -658,7 +689,7 @@ impl ShardedNamespace {
     }
 
     /// Resolve the parent directory of `p` at `epoch`, classifying failures
-    /// exactly like the legacy tree.
+    /// (see [`parent_missing_error`](Self::parent_missing_error)).
     fn resolve_parent(&self, p: &str, epoch: Option<Stamp>) -> Result<InodeId, NsError> {
         let parent = path::parent(p).ok_or(NsError::RootImmutable)?;
         match self.resolve(parent, epoch) {
@@ -671,9 +702,8 @@ impl ShardedNamespace {
         }
     }
 
-    /// Classify a failed parent resolution the way the legacy tree does:
-    /// a file somewhere along the chain is `ParentNotDirectory`, anything
-    /// else `ParentNotFound`.
+    /// Classify a failed parent resolution: a file somewhere along the
+    /// chain is `ParentNotDirectory`, anything else `ParentNotFound`.
     fn parent_missing_error(&self, p: &str, parent: &str, epoch: Option<Stamp>) -> NsError {
         if self.chain_has_file(parent, epoch) {
             NsError::ParentNotDirectory(p.to_string())
@@ -839,7 +869,7 @@ impl ShardedNamespace {
         path::validate(p)?;
         let (dir, name) = path::split(p).ok_or(NsError::RootImmutable)?;
         // Bare resolve for the candidate parent id; its kind (and the
-        // legacy error precedence) is classified under the write lock
+        // error precedence) is classified under the write lock
         // below, saving a separate read-locked kind check per create.
         // Probing inline also tells us whether the parent is already
         // cached, so the steady-state create skips the cache insert.
@@ -1197,9 +1227,9 @@ impl ShardedNamespace {
         }
     }
 
-    /// Deterministic structural fingerprint, byte-for-byte identical to
-    /// [`NamespaceTree::fingerprint`] over the same namespace (inode ids are
-    /// not hashed, so per-shard allocation does not affect it).
+    /// Deterministic structural fingerprint: FNV-1a over a DFS in sorted
+    /// child order, hashing depth, kind, attributes and child names. Inode
+    /// ids are not hashed, so per-shard allocation does not affect it.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint_at(None)
     }
@@ -1241,15 +1271,6 @@ impl ShardedNamespace {
             }
         }
         h
-    }
-}
-
-impl Apply for ShardedNamespace {
-    fn apply_txn(&mut self, _txid: TxnId, txn: &Txn) {
-        if self.apply(txn).is_err() {
-            self.divergences.fetch_add(1, Ordering::Relaxed);
-            debug_assert!(false, "journal replay diverged on {txn:?}");
-        }
     }
 }
 
@@ -1318,11 +1339,20 @@ impl SnapshotView<'_> {
     }
 }
 
-/// Resolution-skipping journal replay for the sharded namespace — the
-/// analogue of [`crate::tree::ReplaySession`], with the same cached-handle
-/// invariants: the last-resolved parent directory and last-touched node are
-/// remembered across records, and both caches drop on `Delete`/`Rename` or
-/// an external [`reset`](Self::reset).
+/// Resolution-skipping journal replay. Journalled records were validated by
+/// the active before they were logged, so a replica can skip
+/// `path::validate` and most of the from-root resolution of naive
+/// [`ShardedNamespace::apply`]: the last-resolved parent directory and the
+/// last-touched node are cached across records (a run of creates into one
+/// directory, or `Create f → AddBlock f → CloseFile f`, resolves once), and
+/// creates attach directly under the cached parent id.
+///
+/// The caches rest on the resolution-cache invariant (ids are never reused,
+/// directories never become files, only `Delete`/`Rename` relocate or
+/// remove inodes), so the session drops them on those records; callers must
+/// [`reset`](Self::reset) after mutating the namespace outside the session.
+/// Errors are returned, not panicked on: error *kinds* can differ from
+/// naive apply on malformed records, success/failure agrees.
 #[derive(Debug, Default)]
 pub struct ShardedReplaySession {
     dir: String,
@@ -1456,8 +1486,8 @@ impl ShardedReplaySession {
 }
 
 impl ShardedNamespace {
-    /// Replay-path create: attach a new file directly under `parent` (the
-    /// analogue of the legacy `attach_child`; error payloads match it).
+    /// Replay-path create: attach a new file directly under `parent` (error
+    /// payloads carry the bare name, as the image decoder's `attach_child`).
     fn attach_file(
         &self,
         parent: InodeId,
@@ -1559,23 +1589,22 @@ impl ShardedNamespace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Model;
     use std::sync::atomic::AtomicBool;
 
-    fn both() -> (NamespaceTree, ShardedNamespace) {
-        (NamespaceTree::new(), ShardedNamespace::with_shards(8))
+    fn both() -> (Model, ShardedNamespace) {
+        (Model::new(), ShardedNamespace::with_shards(8))
     }
 
-    fn run_parity(ops: &[Txn]) -> (NamespaceTree, ShardedNamespace) {
-        let (mut t, s) = both();
+    fn run_parity(ops: &[Txn]) -> (Model, ShardedNamespace) {
+        let (mut m, s) = both();
         for op in ops {
-            let a = t.apply(op);
-            let b = s.apply(op);
-            assert_eq!(a.is_ok(), b.is_ok(), "parity broke on {op:?}: {a:?} vs {b:?}");
+            assert_eq!(m.apply(op), s.apply(op), "parity broke on {op:?}");
         }
-        assert_eq!(t.fingerprint(), s.fingerprint());
-        assert_eq!(t.num_files(), s.num_files());
-        assert_eq!(t.num_dirs(), s.num_dirs());
-        (t, s)
+        assert_eq!(m.fingerprint(), s.fingerprint());
+        assert_eq!(m.num_files(), s.num_files());
+        assert_eq!(m.num_dirs(), s.num_dirs());
+        (m, s)
     }
 
     #[test]
@@ -1627,7 +1656,7 @@ mod tests {
     }
 
     #[test]
-    fn reads_match_legacy() {
+    fn reads_match_model() {
         let ops = [
             Txn::Mkdir { path: "/d".into() },
             Txn::Mkdir { path: "/d/s".into() },
@@ -1636,12 +1665,7 @@ mod tests {
         ];
         let (t, s) = run_parity(&ops);
         for p in ["/", "/d", "/d/s", "/d/s/f"] {
-            let a = t.getfileinfo(p).unwrap();
-            let b = s.getfileinfo(p).unwrap();
-            assert_eq!(
-                (a.path, a.is_dir, a.blocks, a.perm, a.child_count),
-                (b.path, b.is_dir, b.blocks, b.perm, b.child_count)
-            );
+            assert_eq!(t.getfileinfo(p), s.getfileinfo(p));
         }
         assert_eq!(t.list("/d").unwrap(), s.list("/d").unwrap());
         assert_eq!(s.resolve_path("/d/s/f"), s.resolve_path_uncached("/d/s/f"));
@@ -1651,19 +1675,26 @@ mod tests {
 
     #[test]
     fn from_tree_to_tree_round_trip() {
-        let mut t = NamespaceTree::new();
-        t.mkdir_p("/x/y").unwrap();
-        t.create("/x/y/f", 3).unwrap();
-        t.add_block("/x/y/f", 42).unwrap();
-        t.set_perm("/x", 0o700).unwrap();
-        let fp = t.fingerprint();
-        let s = ShardedNamespace::from_tree_with_shards(t, 4);
+        let src = ShardedNamespace::with_shards(8);
+        src.mkdir_p("/x/y").unwrap();
+        src.create("/x/y/f", 3).unwrap();
+        src.add_block("/x/y/f", 42).unwrap();
+        src.set_perm("/x", 0o700).unwrap();
+        let fp = src.fingerprint();
+        // Install on a different shard count: placement changes, state not.
+        let s = ShardedNamespace::from_tree_with_shards(src.to_tree(), 4);
         assert_eq!(s.fingerprint(), fp);
         assert_eq!(s.num_files(), 1);
         assert_eq!(s.num_dirs(), 2);
-        // Mutations after install must not collide with legacy ids.
+        // Mutations after install must not collide with installed ids.
         s.create("/x/y/g", 1).unwrap();
-        assert_eq!(s.to_tree().fingerprint(), s.fingerprint());
+        s.mkdir("/x/z").unwrap();
+        let fp = s.fingerprint();
+        assert_eq!(ShardedNamespace::from_tree(s.to_tree()).fingerprint(), fp);
+        // The by-value flatten yields the same image form.
+        let moved = s.into_tree();
+        assert_eq!((moved.num_files(), moved.num_dirs()), (2, 3));
+        assert_eq!(ShardedNamespace::from_tree(moved).fingerprint(), fp);
     }
 
     #[test]
@@ -1709,7 +1740,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_session_matches_legacy_session() {
+    fn replay_session_matches_naive_apply() {
         let workload = [
             Txn::Mkdir { path: "/a".into() },
             Txn::Mkdir { path: "/a/b".into() },
@@ -1722,26 +1753,51 @@ mod tests {
             Txn::Create { path: "/a/b/f2".into(), replication: 1 },
             Txn::SetPerm { path: "/a/b".into(), perm: 0o700 },
         ];
-        let mut legacy = NamespaceTree::new();
-        let mut legacy_sess = crate::tree::ReplaySession::new();
-        let sharded = ShardedNamespace::with_shards(8);
+        let naive = ShardedNamespace::with_shards(8);
+        let fast = ShardedNamespace::with_shards(8);
         let mut sess = ShardedReplaySession::new();
+        let mut model = Model::new();
         for txn in &workload {
-            let a = legacy_sess.apply(&mut legacy, txn);
-            let b = sess.apply(&sharded, txn);
-            assert_eq!(a, b, "session parity broke on {txn:?}");
+            let a = naive.apply(txn);
+            assert_eq!(a, sess.apply(&fast, txn), "session parity broke on {txn:?}");
+            assert_eq!(a, model.apply(txn), "model parity broke on {txn:?}");
         }
-        assert_eq!(legacy.fingerprint(), sharded.fingerprint());
+        assert_eq!(naive.fingerprint(), fast.fingerprint());
+        assert_eq!(model.fingerprint(), fast.fingerprint());
         // Stale-cache behaviour matches: a create into a renamed-away dir
         // fails in both.
-        sess.apply(&sharded, &Txn::Rename { src: "/a/b".into(), dst: "/a/c".into() }).unwrap();
-        legacy_sess
-            .apply(&mut legacy, &Txn::Rename { src: "/a/b".into(), dst: "/a/c".into() })
-            .unwrap();
+        let mv = Txn::Rename { src: "/a/b".into(), dst: "/a/c".into() };
+        sess.apply(&fast, &mv).unwrap();
+        naive.apply(&mv).unwrap();
         let stale = Txn::Create { path: "/a/b/h".into(), replication: 1 };
-        assert!(sess.apply(&sharded, &stale).is_err());
-        assert!(legacy_sess.apply(&mut legacy, &stale).is_err());
-        assert_eq!(legacy.fingerprint(), sharded.fingerprint());
+        assert!(sess.apply(&fast, &stale).is_err());
+        assert!(naive.apply(&stale).is_err());
+        assert_eq!(naive.fingerprint(), fast.fingerprint());
+    }
+
+    #[test]
+    fn replay_session_delete_invalidates_cached_file() {
+        let ns = ShardedNamespace::with_shards(4);
+        let mut s = ShardedReplaySession::new();
+        s.apply(&ns, &Txn::Mkdir { path: "/x".into() }).unwrap();
+        s.apply(&ns, &Txn::Create { path: "/x/f".into(), replication: 1 }).unwrap();
+        s.apply(&ns, &Txn::AddBlock { path: "/x/f".into(), block_id: 9, len: 1 }).unwrap();
+        s.apply(&ns, &Txn::Delete { path: "/x/f".into(), recursive: false }).unwrap();
+        // The node cache was dropped: a stale AddBlock fails instead of
+        // resurrecting the deleted inode.
+        let err =
+            s.apply(&ns, &Txn::AddBlock { path: "/x/f".into(), block_id: 10, len: 1 }).unwrap_err();
+        assert_eq!(err, NsError::NotFound("/x/f".into()));
+    }
+
+    #[test]
+    fn replay_session_rejects_malformed_shapes() {
+        let ns = ShardedNamespace::with_shards(4);
+        let mut s = ShardedReplaySession::new();
+        assert!(s.apply(&ns, &Txn::Create { path: "/".into(), replication: 1 }).is_err());
+        assert!(s.apply(&ns, &Txn::Mkdir { path: "/a/".into() }).is_err());
+        assert!(s.apply(&ns, &Txn::Delete { path: "/".into(), recursive: true }).is_err());
+        assert_eq!(ns.fingerprint(), Model::new().fingerprint());
     }
 
     #[test]
@@ -1814,16 +1870,16 @@ mod tests {
         }
         // Writers hit disjoint directories, so replaying their logs in any
         // per-thread order yields the same structure.
-        let mut legacy = NamespaceTree::new();
+        let mut model = Model::new();
         for w in 0..4 {
-            legacy.mkdir(&format!("/w{w}")).unwrap();
+            model.mkdir(&format!("/w{w}")).unwrap();
         }
         for log in &logs {
             for txn in log {
-                legacy.apply(txn).unwrap();
+                model.apply(txn).unwrap();
             }
         }
-        assert_eq!(legacy.fingerprint(), s.fingerprint());
+        assert_eq!(model.fingerprint(), s.fingerprint());
         // Cached and uncached resolution agree everywhere we look.
         for w in 0..4 {
             for p in s.list(&format!("/w{w}")).unwrap() {
@@ -1865,5 +1921,20 @@ mod tests {
         let s = ShardedNamespace::with_shards(8);
         assert_eq!(s.home_shard("/a/b/f1"), s.home_shard("/a/b/f2"));
         assert!(s.home_shard("/a/b/f1") < s.shard_count());
+    }
+
+    #[test]
+    fn fingerprint_distinguishes_namespaces() {
+        let with = |leaf: &str| {
+            let s = ShardedNamespace::with_shards(4);
+            s.mkdir("/x").unwrap();
+            s.create(&format!("/x/{leaf}"), 3).unwrap();
+            s
+        };
+        let (a, b, c) = (with("f"), with("g"), with("f"));
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_eq!(a.fingerprint(), c.fingerprint());
+        c.set_perm("/x/f", 0o600).unwrap();
+        assert_ne!(a.fingerprint(), c.fingerprint());
     }
 }

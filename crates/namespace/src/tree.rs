@@ -1,28 +1,25 @@
-//! The namespace tree and its metadata operations.
+//! The flat, in-memory form of a namespace image.
 //!
-//! Two structures make the op hot path allocation-light:
+//! [`NamespaceTree`] is what the image decoder builds and the image encoder
+//! walks: an inode table rooted at [`ROOT_ID`] with the file and directory
+//! counts. It executes no operations — [`ShardedNamespace`] is the one
+//! engine — and exists so an image can be decoded without a live namespace
+//! and installed with [`ShardedNamespace::from_tree`] (or produced with
+//! [`ShardedNamespace::to_tree`] for a checkpoint).
 //!
-//! * an **interned component table**: directory-child names are `Arc<str>`
-//!   handles deduplicated tree-wide, so the repeated components of a large
-//!   namespace (`part-00000`, `data`, …) share one allocation apiece;
-//! * a **parent-directory resolution cache**: directory path → inode id,
-//!   so `create`/`getfileinfo`/`delete` against a warm directory cost one
-//!   map probe plus one child lookup instead of a walk from the root.
+//! Directory-child names are interned: the decoder hands out one `Arc<str>`
+//! per distinct component, so the repeated names of a large namespace
+//! (`part-00000`, `data`, …) share one allocation apiece.
 //!
-//! Cache invariant: an entry maps a path to the id of a directory that is
-//! *currently* at that path. Inode ids are never reused, directories never
-//! become files, and the only operations that relocate or remove a
-//! directory are `delete` and `rename` — which invalidate the entry and
-//! (for directories) its whole subtree. Everything else leaves entries
-//! valid, so a cache hit can never disagree with a from-root walk.
+//! [`ShardedNamespace`]: crate::ShardedNamespace
+//! [`ShardedNamespace::from_tree`]: crate::ShardedNamespace::from_tree
+//! [`ShardedNamespace::to_tree`]: crate::ShardedNamespace::to_tree
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use mams_journal::{Apply, Txn, TxnId};
-
-use crate::inode::{FileInfo, Inode, InodeId, ROOT_ID};
-use crate::path::{self, PathError};
+use crate::inode::{Inode, InodeId, ROOT_ID};
+use crate::path::PathError;
 
 /// Metadata operation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,30 +65,21 @@ impl From<PathError> for NsError {
     }
 }
 
-/// An in-memory namespace: the state a metadata server manages for its
-/// partition.
+/// The flat inode table of a namespace image.
 #[derive(Debug, Clone)]
 pub struct NamespaceTree {
     pub(crate) inodes: HashMap<InodeId, Inode>,
     pub(crate) next_id: InodeId,
     num_files: u64,
     num_dirs: u64,
-    /// Journal replays that failed to apply — any nonzero value indicates a
-    /// protocol bug (journaled operations must always replay cleanly).
-    divergences: u64,
     /// Interned child-name table (see module docs). Bounded: cleared when
     /// full; live names stay alive through the directories that hold them
     /// and re-intern on next use.
     names: HashSet<Arc<str>>,
-    /// Directory path → inode id fast-path cache (see module docs for the
-    /// invalidation invariant). Bounded: cleared when full.
-    parent_cache: HashMap<Box<str>, InodeId>,
 }
 
 /// Intern-table bound; ~64k distinct component names before a reset.
 const NAME_TABLE_CAP: usize = 1 << 16;
-/// Resolution-cache bound (directories, not files).
-const PARENT_CACHE_CAP: usize = 1 << 14;
 
 impl Default for NamespaceTree {
     fn default() -> Self {
@@ -104,15 +92,7 @@ impl NamespaceTree {
     pub fn new() -> Self {
         let mut inodes = HashMap::new();
         inodes.insert(ROOT_ID, Inode::new_dir());
-        NamespaceTree {
-            inodes,
-            next_id: 1,
-            num_files: 0,
-            num_dirs: 0,
-            divergences: 0,
-            names: HashSet::new(),
-            parent_cache: HashMap::new(),
-        }
+        Self::from_parts(inodes, 1, 0, 0)
     }
 
     /// Number of files.
@@ -125,11 +105,6 @@ impl NamespaceTree {
         self.num_dirs
     }
 
-    /// Replay divergence count (must stay 0 in a correct deployment).
-    pub fn divergences(&self) -> u64 {
-        self.divergences
-    }
-
     /// Assemble a tree from raw parts (the sharded namespace's conversion
     /// path). The caller guarantees `inodes` is a well-formed tree rooted at
     /// `ROOT_ID`, `next_id` is above every id in it, and the counts match.
@@ -140,15 +115,7 @@ impl NamespaceTree {
         num_dirs: u64,
     ) -> Self {
         debug_assert!(inodes.contains_key(&ROOT_ID));
-        NamespaceTree {
-            inodes,
-            next_id,
-            num_files,
-            num_dirs,
-            divergences: 0,
-            names: HashSet::new(),
-            parent_cache: HashMap::new(),
-        }
+        NamespaceTree { inodes, next_id, num_files, num_dirs, names: HashSet::new() }
     }
 
     /// Decompose into `(inodes, next_id, num_files, num_dirs)` — the sharded
@@ -229,818 +196,55 @@ impl NamespaceTree {
     pub(crate) fn reserve_inodes(&mut self, extra: usize) {
         self.inodes.reserve(extra);
     }
-
-    /// Record that the directory at `p` has inode `id` (mutation paths call
-    /// this after a successful resolve, warming the cache for the reads).
-    fn cache_dir(&mut self, p: &str, id: InodeId) {
-        debug_assert!(self.inodes.get(&id).is_some_and(Inode::is_dir));
-        if self.parent_cache.contains_key(p) {
-            return;
-        }
-        if self.parent_cache.len() >= PARENT_CACHE_CAP {
-            self.parent_cache.clear();
-        }
-        self.parent_cache.insert(Box::from(p), id);
-    }
-
-    /// Drop the cache entry for `p` — and, when `p` was a directory, every
-    /// entry beneath it (the subtree moved or disappeared).
-    fn invalidate_cached(&mut self, p: &str, was_dir: bool) {
-        if was_dir {
-            self.parent_cache.retain(|k, _| !(k.as_ref() == p || path::is_strict_descendant(k, p)));
-        } else {
-            self.parent_cache.remove(p);
-        }
-    }
-
-    /// Resolve a validated path to an inode id.
-    ///
-    /// Fast path: `p` itself, or its parent directory, is in the resolution
-    /// cache — one probe (plus one child lookup) instead of a component
-    /// walk. Falls back to the from-root walk on a cold cache.
-    fn resolve(&self, p: &str) -> Option<InodeId> {
-        if p == "/" {
-            return Some(ROOT_ID);
-        }
-        if let Some(&id) = self.parent_cache.get(p) {
-            return Some(id);
-        }
-        if let Some((dir, name)) = path::split(p) {
-            if let Some(&pid) = self.parent_cache.get(dir) {
-                return match self.inodes.get(&pid) {
-                    Some(Inode::Directory { children, .. }) => children.get(name).copied(),
-                    _ => None,
-                };
-            }
-        }
-        self.resolve_walk(p)
-    }
-
-    /// The from-root component walk.
-    fn resolve_walk(&self, p: &str) -> Option<InodeId> {
-        let mut cur = ROOT_ID;
-        for comp in path::components(p) {
-            match self.inodes.get(&cur)? {
-                Inode::Directory { children, .. } => cur = *children.get(comp)?,
-                Inode::File { .. } => return None,
-            }
-        }
-        Some(cur)
-    }
-
-    /// Resolve a path to its inode id (fast path; test/bench hook).
-    pub fn resolve_path(&self, p: &str) -> Option<InodeId> {
-        path::validate(p).ok()?;
-        self.resolve(p)
-    }
-
-    /// Resolve by walking from the root, ignoring the cache (test/bench
-    /// hook: the oracle the fast path must agree with).
-    pub fn resolve_path_uncached(&self, p: &str) -> Option<InodeId> {
-        path::validate(p).ok()?;
-        self.resolve_walk(p)
-    }
-
-    /// Whether a path exists.
-    pub fn exists(&self, p: &str) -> bool {
-        path::validate(p).is_ok() && self.resolve(p).is_some()
-    }
-
-    /// Resolve the parent directory of `p`, classifying failures.
-    fn resolve_parent(&self, p: &str) -> Result<InodeId, NsError> {
-        let parent = path::parent(p).ok_or(NsError::RootImmutable)?;
-        match self.resolve(parent) {
-            Some(id) if self.inodes[&id].is_dir() => Ok(id),
-            Some(_) => Err(NsError::ParentNotDirectory(p.to_string())),
-            None => {
-                // Distinguish "parent missing" from "an ancestor is a file".
-                if self.parent_chain_has_file(parent) {
-                    Err(NsError::ParentNotDirectory(p.to_string()))
-                } else {
-                    Err(NsError::ParentNotFound(p.to_string()))
-                }
-            }
-        }
-    }
-
-    fn parent_chain_has_file(&self, p: &str) -> bool {
-        let mut cur = ROOT_ID;
-        for comp in path::components(p) {
-            match &self.inodes[&cur] {
-                Inode::Directory { children, .. } => match children.get(comp) {
-                    Some(id) => cur = *id,
-                    None => return false,
-                },
-                Inode::File { .. } => return true,
-            }
-        }
-        self.inodes[&cur].is_file()
-    }
-
-    /// `create`: make an empty file.
-    pub fn create(&mut self, p: &str, replication: u8) -> Result<FileInfo, NsError> {
-        path::validate(p)?;
-        let parent_id = self.resolve_parent(p)?;
-        let (dir, name) = path::split(p).expect("non-root validated path");
-        if let Inode::Directory { children, .. } = &self.inodes[&parent_id] {
-            if children.contains_key(name) {
-                return Err(NsError::AlreadyExists(p.to_string()));
-            }
-        }
-        let name = self.intern(name);
-        let id = self.alloc(Inode::new_file(replication));
-        match self.inodes.get_mut(&parent_id).expect("parent exists") {
-            Inode::Directory { children, .. } => {
-                children.insert(name, id);
-            }
-            Inode::File { .. } => unreachable!("resolve_parent checked kind"),
-        }
-        self.cache_dir(dir, parent_id);
-        self.num_files += 1;
-        self.info_of(p, id)
-    }
-
-    /// `mkdir`: make a directory (parent must exist).
-    pub fn mkdir(&mut self, p: &str) -> Result<(), NsError> {
-        path::validate(p)?;
-        let parent_id = self.resolve_parent(p)?;
-        let (dir, name) = path::split(p).expect("non-root validated path");
-        if let Inode::Directory { children, .. } = &self.inodes[&parent_id] {
-            if children.contains_key(name) {
-                return Err(NsError::AlreadyExists(p.to_string()));
-            }
-        }
-        let name = self.intern(name);
-        let id = self.alloc(Inode::new_dir());
-        match self.inodes.get_mut(&parent_id).expect("parent exists") {
-            Inode::Directory { children, .. } => {
-                children.insert(name, id);
-            }
-            Inode::File { .. } => unreachable!("resolve_parent checked kind"),
-        }
-        self.cache_dir(dir, parent_id);
-        self.cache_dir(p, id);
-        self.num_dirs += 1;
-        Ok(())
-    }
-
-    /// `mkdir -p`: create all missing ancestors. Ok if the directory exists.
-    pub fn mkdir_p(&mut self, p: &str) -> Result<(), NsError> {
-        path::validate(p)?;
-        if p == "/" {
-            return Ok(());
-        }
-        // Ancestors are borrowed prefix slices of `p` — no per-level String.
-        for prefix in path::prefixes(p) {
-            match self.mkdir(prefix) {
-                Ok(()) => {}
-                Err(NsError::AlreadyExists(_)) => {
-                    if let Some(id) = self.resolve(prefix) {
-                        if self.inodes[&id].is_file() {
-                            return Err(NsError::IsFile(prefix.to_string()));
-                        }
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// `delete`: remove a file, or a directory (recursively when asked).
-    /// Returns `(files_removed, dirs_removed)`.
-    pub fn delete(&mut self, p: &str, recursive: bool) -> Result<(u64, u64), NsError> {
-        path::validate(p)?;
-        if p == "/" {
-            return Err(NsError::RootImmutable);
-        }
-        let id = self.resolve(p).ok_or_else(|| NsError::NotFound(p.to_string()))?;
-        if let Inode::Directory { children, .. } = &self.inodes[&id] {
-            if !children.is_empty() && !recursive {
-                return Err(NsError::NotEmpty(p.to_string()));
-            }
-        }
-        let parent_id = self.resolve_parent(p)?;
-        let (dir, name) = path::split(p).expect("non-root validated path");
-        let was_dir = self.inodes[&id].is_dir();
-        match self.inodes.get_mut(&parent_id).expect("parent exists") {
-            Inode::Directory { children, .. } => {
-                children.remove(name);
-            }
-            Inode::File { .. } => unreachable!("resolve_parent checked kind"),
-        }
-        let (files, dirs) = self.drop_subtree(id);
-        self.num_files -= files;
-        self.num_dirs -= dirs;
-        self.invalidate_cached(p, was_dir);
-        self.cache_dir(dir, parent_id);
-        Ok((files, dirs))
-    }
-
-    fn drop_subtree(&mut self, id: InodeId) -> (u64, u64) {
-        let mut files = 0;
-        let mut dirs = 0;
-        let mut stack = vec![id];
-        while let Some(cur) = stack.pop() {
-            match self.inodes.remove(&cur).expect("subtree inode present") {
-                Inode::File { .. } => files += 1,
-                Inode::Directory { children, .. } => {
-                    dirs += 1;
-                    stack.extend(children.values().copied());
-                }
-            }
-        }
-        (files, dirs)
-    }
-
-    /// `rename`: move `src` to `dst` (which must not exist).
-    pub fn rename(&mut self, src: &str, dst: &str) -> Result<(), NsError> {
-        path::validate(src)?;
-        path::validate(dst)?;
-        if src == "/" || dst == "/" {
-            return Err(NsError::RootImmutable);
-        }
-        if src == dst {
-            return Err(NsError::AlreadyExists(dst.to_string()));
-        }
-        if path::is_strict_descendant(dst, src) {
-            return Err(NsError::RenameIntoSelf { src: src.to_string(), dst: dst.to_string() });
-        }
-        let src_id = self.resolve(src).ok_or_else(|| NsError::NotFound(src.to_string()))?;
-        if self.resolve(dst).is_some() {
-            return Err(NsError::AlreadyExists(dst.to_string()));
-        }
-        let dst_parent = self.resolve_parent(dst)?;
-        let src_parent = self.resolve_parent(src)?;
-        let (src_dir, src_name) = path::split(src).expect("non-root");
-        let (dst_dir, dst_name) = path::split(dst).expect("non-root");
-        let src_is_dir = self.inodes[&src_id].is_dir();
-        match self.inodes.get_mut(&src_parent).expect("src parent") {
-            Inode::Directory { children, .. } => {
-                children.remove(src_name);
-            }
-            Inode::File { .. } => unreachable!(),
-        }
-        let dst_name = self.intern(dst_name);
-        match self.inodes.get_mut(&dst_parent).expect("dst parent") {
-            Inode::Directory { children, .. } => {
-                children.insert(dst_name, src_id);
-            }
-            Inode::File { .. } => unreachable!(),
-        }
-        // The subtree rooted at `src` moved: every cached path at or under
-        // `src` now points somewhere else (or nowhere).
-        self.invalidate_cached(src, src_is_dir);
-        self.cache_dir(src_dir, src_parent);
-        self.cache_dir(dst_dir, dst_parent);
-        if src_is_dir {
-            self.cache_dir(dst, src_id);
-        }
-        Ok(())
-    }
-
-    /// `getfileinfo`: read-only metadata lookup.
-    pub fn getfileinfo(&self, p: &str) -> Result<FileInfo, NsError> {
-        path::validate(p)?;
-        let id = self.resolve(p).ok_or_else(|| NsError::NotFound(p.to_string()))?;
-        self.info_of(p, id)
-    }
-
-    fn info_of(&self, p: &str, id: InodeId) -> Result<FileInfo, NsError> {
-        Ok(match &self.inodes[&id] {
-            Inode::Directory { children, perm } => FileInfo {
-                path: p.to_string(),
-                is_dir: true,
-                blocks: Vec::new(),
-                replication: 0,
-                sealed: false,
-                perm: *perm,
-                child_count: children.len(),
-            },
-            Inode::File { blocks, replication, sealed, perm } => FileInfo {
-                path: p.to_string(),
-                is_dir: false,
-                blocks: blocks.clone(),
-                replication: *replication,
-                sealed: *sealed,
-                perm: *perm,
-                child_count: 0,
-            },
-        })
-    }
-
-    /// List child names of a directory (sorted).
-    pub fn list(&self, p: &str) -> Result<Vec<String>, NsError> {
-        path::validate(p)?;
-        let id = self.resolve(p).ok_or_else(|| NsError::NotFound(p.to_string()))?;
-        match &self.inodes[&id] {
-            Inode::Directory { children, .. } => {
-                Ok(children.keys().map(|k| k.to_string()).collect())
-            }
-            Inode::File { .. } => Err(NsError::IsFile(p.to_string())),
-        }
-    }
-
-    /// Append a block to an unsealed file.
-    pub fn add_block(&mut self, p: &str, block_id: u64) -> Result<(), NsError> {
-        path::validate(p)?;
-        let id = self.resolve(p).ok_or_else(|| NsError::NotFound(p.to_string()))?;
-        match self.inodes.get_mut(&id).expect("resolved") {
-            Inode::File { blocks, sealed, .. } => {
-                if *sealed {
-                    return Err(NsError::FileSealed(p.to_string()));
-                }
-                blocks.push(block_id);
-                Ok(())
-            }
-            Inode::Directory { .. } => Err(NsError::IsDirectory(p.to_string())),
-        }
-    }
-
-    /// Seal a file. Idempotent.
-    pub fn close_file(&mut self, p: &str) -> Result<(), NsError> {
-        path::validate(p)?;
-        let id = self.resolve(p).ok_or_else(|| NsError::NotFound(p.to_string()))?;
-        match self.inodes.get_mut(&id).expect("resolved") {
-            Inode::File { sealed, .. } => {
-                *sealed = true;
-                Ok(())
-            }
-            Inode::Directory { .. } => Err(NsError::IsDirectory(p.to_string())),
-        }
-    }
-
-    /// Change permission bits.
-    pub fn set_perm(&mut self, p: &str, perm: u16) -> Result<(), NsError> {
-        path::validate(p)?;
-        let id = self.resolve(p).ok_or_else(|| NsError::NotFound(p.to_string()))?;
-        self.inodes.get_mut(&id).expect("resolved").set_perm(perm);
-        Ok(())
-    }
-
-    /// Apply a journalled transaction. Journaled transactions were validated
-    /// by the active before logging, so failures indicate replica
-    /// divergence; they are counted rather than silently swallowed.
-    pub fn apply(&mut self, txn: &Txn) -> Result<(), NsError> {
-        match txn {
-            Txn::Create { path, replication } => self.create(path, *replication).map(|_| ()),
-            Txn::Mkdir { path } => self.mkdir(path),
-            Txn::Delete { path, recursive } => self.delete(path, *recursive).map(|_| ()),
-            Txn::Rename { src, dst } => self.rename(src, dst),
-            Txn::AddBlock { path, block_id, .. } => self.add_block(path, *block_id),
-            Txn::CloseFile { path } => self.close_file(path),
-            Txn::SetPerm { path, perm } => self.set_perm(path, *perm),
-        }
-    }
-
-    /// Deterministic structural fingerprint of the whole tree (used by tests
-    /// and the renewing protocol's final verification).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1_0000_0000_01b3);
-            }
-        };
-        // DFS in sorted-child order, hashing path-shape and attributes.
-        let mut stack: Vec<(InodeId, u32)> = vec![(ROOT_ID, 0)];
-        while let Some((id, depth)) = stack.pop() {
-            mix(&depth.to_le_bytes());
-            match &self.inodes[&id] {
-                Inode::Directory { children, perm } => {
-                    mix(b"D");
-                    mix(&perm.to_le_bytes());
-                    for (name, child) in children.iter().rev() {
-                        mix(name.as_bytes());
-                        stack.push((*child, depth + 1));
-                    }
-                }
-                Inode::File { blocks, replication, sealed, perm } => {
-                    mix(&[b'F', *replication, *sealed as u8]);
-                    mix(&perm.to_le_bytes());
-                    for b in blocks {
-                        mix(&b.to_le_bytes());
-                    }
-                }
-            }
-        }
-        h
-    }
-}
-
-impl Apply for NamespaceTree {
-    fn apply_txn(&mut self, _txid: TxnId, txn: &Txn) {
-        if self.apply(txn).is_err() {
-            self.divergences += 1;
-            debug_assert!(false, "journal replay diverged on {txn:?}");
-        }
-    }
-}
-
-/// Resolution-skipping journal replay fast path.
-///
-/// Journalled records were fully validated by the active before they were
-/// logged, so a replica replaying them can skip `path::validate` and most
-/// of the from-root resolution work that dominates naive `apply`:
-///
-/// * the **last-resolved parent directory** `(path, id)` is cached across
-///   records — journals have heavy directory locality, so a run of creates
-///   into one directory costs one resolve total;
-/// * the **last-touched file** is cached the same way, making the
-///   ubiquitous `Create f → AddBlock f → CloseFile f` sequence two map
-///   probes instead of two more resolutions;
-/// * creates and mkdirs attach via [`NamespaceTree::attach_child`] — one
-///   B-tree entry probe, no duplicate pre-check, and none of the
-///   [`FileInfo`] allocation (`path` string + `blocks` clone) that the
-///   client-facing `create` pays for its response.
-///
-/// Soundness of the caches rests on the same invariant as the tree's own
-/// resolution cache (see module docs): inode ids are never reused,
-/// directories never become files, and only `Delete`/`Rename` relocate or
-/// remove inodes — the session conservatively drops both caches on those
-/// records (structural ops are rare in journals). The caches also go stale
-/// if the tree is mutated *outside* the session (direct ops on an active,
-/// or wholesale replacement by an image load): callers must [`reset`] at
-/// those boundaries before replaying again.
-///
-/// Errors are returned, not panicked on, so callers keep counting replay
-/// divergences exactly as with naive `apply`. Error *kinds* can differ
-/// from naive apply on malformed records (the session does only basename
-/// sanity checks), but success/failure agrees: a record naive apply
-/// accepts is applied identically, and a record it rejects is rejected.
-///
-/// [`reset`]: ReplaySession::reset
-#[derive(Debug, Default)]
-pub struct ReplaySession {
-    /// Cached `(path, id)` of the last-resolved parent directory.
-    dir: String,
-    dir_id: InodeId,
-    dir_valid: bool,
-    /// Cached `(path, id)` of the last-resolved non-parent node (usually a
-    /// file mid `Create/AddBlock/CloseFile` run).
-    node: String,
-    node_id: InodeId,
-    node_valid: bool,
-}
-
-impl ReplaySession {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drop the cached handles. Call whenever the tree may have changed
-    /// hands since the last `apply` through this session: after an image
-    /// load replaces the tree, after `reset_replica_state`, or after a
-    /// stint as active mutating the namespace directly.
-    pub fn reset(&mut self) {
-        self.dir_valid = false;
-        self.node_valid = false;
-    }
-
-    /// Apply one journalled record to `tree` via the fast path.
-    pub fn apply(&mut self, tree: &mut NamespaceTree, txn: &Txn) -> Result<(), NsError> {
-        match txn {
-            Txn::Create { path, replication } => {
-                let (pid, name) = self.parent_of(tree, path)?;
-                let id = tree.attach_child(pid, name, Inode::new_file(*replication))?;
-                self.remember_node(path, id);
-                Ok(())
-            }
-            Txn::Mkdir { path } => {
-                let (pid, name) = self.parent_of(tree, path)?;
-                let id = tree.attach_child(pid, name, Inode::new_dir())?;
-                // Subsequent records usually populate the new directory.
-                self.remember_dir(path, id);
-                Ok(())
-            }
-            Txn::Delete { path, recursive } => {
-                self.reset();
-                tree.delete(path, *recursive).map(|_| ())
-            }
-            Txn::Rename { src, dst } => {
-                self.reset();
-                tree.rename(src, dst)
-            }
-            Txn::AddBlock { path, block_id, .. } => {
-                let id = self.resolve_node(tree, path)?;
-                match tree.inodes.get_mut(&id).expect("cached/resolved inode exists") {
-                    Inode::File { blocks, sealed, .. } => {
-                        if *sealed {
-                            return Err(NsError::FileSealed(path.clone()));
-                        }
-                        blocks.push(*block_id);
-                        Ok(())
-                    }
-                    Inode::Directory { .. } => Err(NsError::IsDirectory(path.clone())),
-                }
-            }
-            Txn::CloseFile { path } => {
-                let id = self.resolve_node(tree, path)?;
-                match tree.inodes.get_mut(&id).expect("cached/resolved inode exists") {
-                    Inode::File { sealed, .. } => {
-                        *sealed = true;
-                        Ok(())
-                    }
-                    Inode::Directory { .. } => Err(NsError::IsDirectory(path.clone())),
-                }
-            }
-            Txn::SetPerm { path, perm } => {
-                let id = self.resolve_node(tree, path)?;
-                tree.inodes.get_mut(&id).expect("cached/resolved inode exists").set_perm(*perm);
-                Ok(())
-            }
-        }
-    }
-
-    fn remember_dir(&mut self, path: &str, id: InodeId) {
-        self.dir.clear();
-        self.dir.push_str(path);
-        self.dir_id = id;
-        self.dir_valid = true;
-    }
-
-    fn remember_node(&mut self, path: &str, id: InodeId) {
-        self.node.clear();
-        self.node.push_str(path);
-        self.node_id = id;
-        self.node_valid = true;
-    }
-
-    /// Split `path` and resolve its parent directory, via the cache when
-    /// the previous record touched the same directory.
-    fn parent_of<'p>(
-        &mut self,
-        tree: &NamespaceTree,
-        path: &'p str,
-    ) -> Result<(InodeId, &'p str), NsError> {
-        let (dir, name) = path::split(path).ok_or(NsError::RootImmutable)?;
-        if name.is_empty() {
-            // Validate-skip still rejects the shapes that would corrupt the
-            // tree (a trailing slash would attach an empty component).
-            return Err(NsError::Invalid(PathError(format!("{path:?} has a trailing slash"))));
-        }
-        if self.dir_valid && self.dir == dir {
-            return Ok((self.dir_id, name));
-        }
-        let pid = tree.resolve(dir).ok_or_else(|| NsError::ParentNotFound(path.to_string()))?;
-        // A file id is cached as-is: `attach_child` and the child lookups
-        // classify it as ParentNotDirectory/NotFound exactly like a walk.
-        self.remember_dir(dir, pid);
-        Ok((pid, name))
-    }
-
-    /// Resolve a full path to its inode, via the node/dir caches when the
-    /// previous records touched the same file or directory.
-    fn resolve_node(&mut self, tree: &NamespaceTree, path: &str) -> Result<InodeId, NsError> {
-        if path == "/" {
-            return Ok(ROOT_ID);
-        }
-        if self.node_valid && self.node == path {
-            return Ok(self.node_id);
-        }
-        if self.dir_valid && self.dir == path {
-            return Ok(self.dir_id);
-        }
-        let (pid, name) = self.parent_of(tree, path)?;
-        let id = match tree.inodes.get(&pid) {
-            Some(Inode::Directory { children, .. }) => {
-                children.get(name).copied().ok_or_else(|| NsError::NotFound(path.to_string()))?
-            }
-            _ => return Err(NsError::NotFound(path.to_string())),
-        };
-        self.remember_node(path, id);
-        Ok(id)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tree_with(paths: &[&str]) -> NamespaceTree {
+    #[test]
+    fn attach_child_counts_and_interns() {
         let mut t = NamespaceTree::new();
-        for p in paths {
-            if let Some(dir) = p.strip_suffix('/') {
-                t.mkdir_p(dir).unwrap();
-            } else {
-                t.mkdir_p(path::parent(p).unwrap()).unwrap();
-                t.create(p, 3).unwrap();
-            }
-        }
-        t
+        let a = t.attach_child(ROOT_ID, "a", Inode::new_dir()).unwrap();
+        let f = t.attach_child(a, "data", Inode::new_file(3)).unwrap();
+        let b = t.attach_child(ROOT_ID, "b", Inode::new_dir()).unwrap();
+        t.attach_child(b, "data", Inode::new_file(1)).unwrap();
+        assert_eq!((t.num_files(), t.num_dirs()), (2, 2));
+        assert!(f > a && t.next_id > f);
+        let name_of = |dir: InodeId| match &t.inodes[&dir] {
+            Inode::Directory { children, .. } => children.keys().next().unwrap().clone(),
+            Inode::File { .. } => unreachable!(),
+        };
+        assert!(Arc::ptr_eq(&name_of(a), &name_of(b)), "equal names share one allocation");
     }
 
     #[test]
-    fn create_and_getfileinfo() {
+    fn attach_child_rejects_corrupt_shapes() {
         let mut t = NamespaceTree::new();
-        t.mkdir("/a").unwrap();
-        let info = t.create("/a/f", 3).unwrap();
-        assert!(!info.is_dir);
-        assert_eq!(info.replication, 3);
-        assert_eq!(t.getfileinfo("/a/f").unwrap(), info);
-        assert_eq!(t.num_files(), 1);
-        assert_eq!(t.num_dirs(), 1);
-    }
-
-    #[test]
-    fn create_requires_parent_dir() {
-        let mut t = NamespaceTree::new();
-        assert_eq!(t.create("/no/f", 1).unwrap_err(), NsError::ParentNotFound("/no/f".into()));
-        t.create("/f", 1).unwrap();
-        assert_eq!(t.create("/f/x", 1).unwrap_err(), NsError::ParentNotDirectory("/f/x".into()));
-        assert_eq!(t.create("/f", 1).unwrap_err(), NsError::AlreadyExists("/f".into()));
-    }
-
-    #[test]
-    fn mkdir_p_is_idempotent_but_respects_files() {
-        let mut t = NamespaceTree::new();
-        t.mkdir_p("/a/b/c").unwrap();
-        t.mkdir_p("/a/b/c").unwrap();
-        assert_eq!(t.num_dirs(), 3);
-        t.create("/a/b/c/f", 1).unwrap();
-        assert_eq!(t.mkdir_p("/a/b/c/f").unwrap_err(), NsError::IsFile("/a/b/c/f".into()));
-    }
-
-    #[test]
-    fn delete_file_and_empty_dir() {
-        let mut t = tree_with(&["/d/", "/d/f"]);
-        assert_eq!(t.delete("/d/f", false).unwrap(), (1, 0));
-        assert_eq!(t.delete("/d", false).unwrap(), (0, 1));
-        assert_eq!(t.num_files(), 0);
-        assert_eq!(t.num_dirs(), 0);
-        assert!(!t.exists("/d"));
-    }
-
-    #[test]
-    fn delete_nonempty_requires_recursive() {
-        let mut t = tree_with(&["/d/sub/", "/d/f1", "/d/sub/f2"]);
-        assert_eq!(t.delete("/d", false).unwrap_err(), NsError::NotEmpty("/d".into()));
-        assert_eq!(t.delete("/d", true).unwrap(), (2, 2));
-        assert_eq!(t.num_files(), 0);
-        assert_eq!(t.num_dirs(), 0);
-    }
-
-    #[test]
-    fn delete_root_forbidden() {
-        let mut t = NamespaceTree::new();
-        assert_eq!(t.delete("/", true).unwrap_err(), NsError::RootImmutable);
-    }
-
-    #[test]
-    fn rename_moves_subtree() {
-        let mut t = tree_with(&["/a/b/", "/a/b/f", "/c/"]);
-        t.rename("/a/b", "/c/b2").unwrap();
-        assert!(t.exists("/c/b2/f"));
-        assert!(!t.exists("/a/b"));
-        assert_eq!(t.num_files(), 1);
-        assert_eq!(t.num_dirs(), 3);
-    }
-
-    #[test]
-    fn rename_rejects_bad_targets() {
-        let mut t = tree_with(&["/a/b/", "/x"]);
+        let f = t.attach_child(ROOT_ID, "f", Inode::new_file(1)).unwrap();
         assert_eq!(
-            t.rename("/a", "/a/b/evil").unwrap_err(),
-            NsError::RenameIntoSelf { src: "/a".into(), dst: "/a/b/evil".into() }
+            t.attach_child(ROOT_ID, "f", Inode::new_dir()).unwrap_err(),
+            NsError::AlreadyExists("f".into())
         );
-        assert_eq!(t.rename("/a", "/x").unwrap_err(), NsError::AlreadyExists("/x".into()));
-        assert_eq!(t.rename("/missing", "/y").unwrap_err(), NsError::NotFound("/missing".into()));
         assert_eq!(
-            t.rename("/a", "/no/where").unwrap_err(),
-            NsError::ParentNotFound("/no/where".into())
+            t.attach_child(f, "x", Inode::new_file(1)).unwrap_err(),
+            NsError::ParentNotDirectory("x".into())
         );
-        assert_eq!(t.rename("/", "/r").unwrap_err(), NsError::RootImmutable);
+        assert_eq!(
+            t.attach_child(999, "y", Inode::new_file(1)).unwrap_err(),
+            NsError::ParentNotFound("y".into())
+        );
+        // Rejected attaches leave no trace.
+        assert_eq!((t.num_files(), t.num_dirs(), t.inodes.len()), (1, 0, 2));
     }
 
     #[test]
-    fn list_sorted() {
-        let t = tree_with(&["/d/", "/d/z", "/d/a", "/d/m"]);
-        assert_eq!(t.list("/d").unwrap(), vec!["a", "m", "z"]);
-        assert_eq!(t.list("/d/a").unwrap_err(), NsError::IsFile("/d/a".into()));
-    }
-
-    #[test]
-    fn blocks_and_sealing() {
-        let mut t = tree_with(&["/f"]);
-        t.add_block("/f", 10).unwrap();
-        t.add_block("/f", 11).unwrap();
-        t.close_file("/f").unwrap();
-        t.close_file("/f").unwrap(); // idempotent
-        assert_eq!(t.add_block("/f", 12).unwrap_err(), NsError::FileSealed("/f".into()));
-        let info = t.getfileinfo("/f").unwrap();
-        assert_eq!(info.blocks, vec![10, 11]);
-        assert!(info.sealed);
-    }
-
-    #[test]
-    fn apply_matches_direct_ops() {
-        let mut direct = NamespaceTree::new();
-        direct.mkdir("/a").unwrap();
-        direct.create("/a/f", 2).unwrap();
-        direct.rename("/a/f", "/a/g").unwrap();
-
-        let mut replayed = NamespaceTree::new();
-        for txn in [
-            Txn::Mkdir { path: "/a".into() },
-            Txn::Create { path: "/a/f".into(), replication: 2 },
-            Txn::Rename { src: "/a/f".into(), dst: "/a/g".into() },
-        ] {
-            replayed.apply(&txn).unwrap();
-        }
-        assert_eq!(direct.fingerprint(), replayed.fingerprint());
-        assert_eq!(replayed.divergences(), 0);
-    }
-
-    #[test]
-    fn replay_session_matches_naive_apply() {
-        let workload = [
-            Txn::Mkdir { path: "/a".into() },
-            Txn::Mkdir { path: "/a/b".into() },
-            Txn::Create { path: "/a/b/f0".into(), replication: 3 },
-            Txn::AddBlock { path: "/a/b/f0".into(), block_id: 1, len: 64 },
-            Txn::AddBlock { path: "/a/b/f0".into(), block_id: 2, len: 64 },
-            Txn::CloseFile { path: "/a/b/f0".into() },
-            Txn::Create { path: "/a/b/f1".into(), replication: 2 },
-            Txn::SetPerm { path: "/a/b".into(), perm: 0o750 },
-            Txn::SetPerm { path: "/".into(), perm: 0o711 },
-            Txn::Rename { src: "/a/b/f1".into(), dst: "/a/g".into() },
-            Txn::Delete { path: "/a/b/f0".into(), recursive: false },
-            Txn::Create { path: "/a/b/f2".into(), replication: 1 },
-        ];
-        let mut naive = NamespaceTree::new();
-        let mut fast = NamespaceTree::new();
-        let mut session = ReplaySession::new();
-        for txn in &workload {
-            naive.apply(txn).unwrap();
-            session.apply(&mut fast, txn).unwrap();
-        }
-        assert_eq!(naive.fingerprint(), fast.fingerprint());
-        assert_eq!(naive.num_files(), fast.num_files());
-        assert_eq!(naive.num_dirs(), fast.num_dirs());
-    }
-
-    #[test]
-    fn replay_session_rename_invalidates_cached_parent() {
-        // The session resolves `/d` once, then the directory moves out from
-        // under the cache; the next create must not attach under the old
-        // location.
-        let txns = [
-            Txn::Mkdir { path: "/d".into() },
-            Txn::Mkdir { path: "/e".into() },
-            Txn::Create { path: "/d/f".into(), replication: 1 },
-            Txn::Rename { src: "/d".into(), dst: "/e/d2".into() },
-            Txn::Create { path: "/e/d2/g".into(), replication: 1 },
-        ];
-        let mut naive = NamespaceTree::new();
-        let mut fast = NamespaceTree::new();
-        let mut session = ReplaySession::new();
-        for txn in &txns {
-            naive.apply(txn).unwrap();
-            session.apply(&mut fast, txn).unwrap();
-        }
-        // A create into the *old* path must now fail in both.
-        let stale = Txn::Create { path: "/d/h".into(), replication: 1 };
-        assert!(naive.apply(&stale).is_err());
-        assert!(session.apply(&mut fast, &stale).is_err());
-        assert_eq!(naive.fingerprint(), fast.fingerprint());
-    }
-
-    #[test]
-    fn replay_session_delete_invalidates_cached_file() {
-        let mut fast = NamespaceTree::new();
-        let mut session = ReplaySession::new();
-        session.apply(&mut fast, &Txn::Mkdir { path: "/x".into() }).unwrap();
-        session.apply(&mut fast, &Txn::Create { path: "/x/f".into(), replication: 1 }).unwrap();
-        session
-            .apply(&mut fast, &Txn::AddBlock { path: "/x/f".into(), block_id: 9, len: 1 })
-            .unwrap();
-        session.apply(&mut fast, &Txn::Delete { path: "/x/f".into(), recursive: false }).unwrap();
-        // The node cache was dropped: a stale AddBlock fails instead of
-        // resurrecting the deleted inode.
-        let err = session
-            .apply(&mut fast, &Txn::AddBlock { path: "/x/f".into(), block_id: 10, len: 1 })
-            .unwrap_err();
-        assert_eq!(err, NsError::NotFound("/x/f".into()));
-    }
-
-    #[test]
-    fn replay_session_rejects_malformed_shapes() {
+    fn parts_round_trip() {
         let mut t = NamespaceTree::new();
-        let mut s = ReplaySession::new();
-        assert!(s.apply(&mut t, &Txn::Create { path: "/".into(), replication: 1 }).is_err());
-        assert!(s.apply(&mut t, &Txn::Mkdir { path: "/a/".into() }).is_err());
-        assert!(s.apply(&mut t, &Txn::Delete { path: "/".into(), recursive: true }).is_err());
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_trees() {
-        let a = tree_with(&["/x/", "/x/f"]);
-        let b = tree_with(&["/x/", "/x/g"]);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        let mut c = tree_with(&["/x/", "/x/f"]);
-        assert_eq!(a.fingerprint(), c.fingerprint());
-        c.set_perm("/x/f", 0o600).unwrap();
-        assert_ne!(a.fingerprint(), c.fingerprint());
+        t.attach_child(ROOT_ID, "d", Inode::new_dir()).unwrap();
+        let (inodes, next_id, files, dirs) = t.clone().into_parts();
+        let back = NamespaceTree::from_parts(inodes, next_id, files, dirs);
+        assert_eq!(back.inodes, t.inodes);
+        assert_eq!((back.next_id, back.num_files(), back.num_dirs()), (t.next_id, 0, 1));
     }
 }

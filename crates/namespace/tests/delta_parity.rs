@@ -3,19 +3,21 @@
 //! A delta folded from a journal range must be *observationally identical*
 //! to replaying that range: applying the delta over the base state (or any
 //! intermediate state inside the covered range — the apply-anywhere
-//! invariant) has to land on exactly the fingerprint a naive full replay
-//! reaches. The fold is lossy by design (last-writer-wins, tombstones,
-//! severed directories shipped as full subtrees), so these tests are the
-//! proof that nothing observable is lost.
+//! invariant) has to land on exactly the fingerprint the reference
+//! [`Model`] reaches by replaying every record. The fold is lossy by design
+//! (last-writer-wins, tombstones, severed directories shipped as full
+//! subtrees), so these tests are the proof that nothing observable is lost.
 //!
-//! These are seeded randomized tests, not `proptest` suites: the vendored
-//! `proptest` crate is an intentionally empty stand-in (see
-//! `vendor/proptest`), so property coverage comes from the vendored `rand`
-//! with fixed seeds — deterministic, shrink-free, CI-friendly.
-//! `PARITY_CASES` scales the number of cases per test (nightly runs more).
+//! Seeded randomized tests over the vendored `rand`: deterministic,
+//! shrink-free, CI-friendly. `PARITY_CASES` scales the number of cases per
+//! test (nightly runs more).
+
+#[path = "model/mod.rs"]
+mod model;
 
 use mams_journal::Txn;
-use mams_namespace::{apply_delta, decode_delta, fold_delta, NamespaceTree, ShardedNamespace};
+use mams_namespace::{apply_delta, decode_delta, fold_delta, ShardedNamespace};
+use model::Model;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,34 +75,42 @@ fn rand_txn(rng: &mut SmallRng) -> Txn {
     }
 }
 
-/// Grow a tree with `n` *committed* transactions (failed attempts are
-/// discarded, as the journal only ever records successful ops) and return
-/// the committed sequence.
-fn grow(rng: &mut SmallRng, tree: &mut NamespaceTree, n: usize) -> Vec<Txn> {
+/// Grow `live` with `n` *committed* transactions (failed attempts are
+/// discarded, as the journal only ever records successful ops), replaying
+/// each into `model` too, and return the committed sequence.
+fn grow(rng: &mut SmallRng, live: &ShardedNamespace, model: &mut Model, n: usize) -> Vec<Txn> {
     let mut journal = Vec::with_capacity(n);
     while journal.len() < n {
         let txn = rand_txn(rng);
-        if tree.apply(&txn).is_ok() {
+        let result = live.apply(&txn);
+        assert_eq!(result, model.apply(&txn), "live and model disagree on {txn:?}");
+        if result.is_ok() {
             journal.push(txn);
         }
     }
     journal
 }
 
+/// An independent copy of a namespace, through its flat image form.
+fn copy(ns: &ShardedNamespace) -> ShardedNamespace {
+    ShardedNamespace::from_tree(ns.to_tree())
+}
+
 /// Folding a random journal range and applying the delta over the base
-/// state must land on exactly the fingerprint a naive full replay reaches.
+/// state must land on exactly the model's replay of the whole journal.
 #[test]
 fn fold_plus_apply_matches_naive_replay() {
     for case in 0..cases() {
         let mut rng = SmallRng::seed_from_u64(0x000D_E17A_0001 ^ (case << 8));
-        let mut live = NamespaceTree::new();
+        let live = ShardedNamespace::new();
+        let mut model = Model::new();
         let base_len = rng.gen_range(0..200usize);
-        grow(&mut rng, &mut live, base_len);
-        let base = live.clone();
+        grow(&mut rng, &live, &mut model, base_len);
+        let base = copy(&live);
         let base_sn = base_len as u64;
 
         let range_len = rng.gen_range(1..300usize);
-        let journal = grow(&mut rng, &mut live, range_len);
+        let journal = grow(&mut rng, &live, &mut model, range_len);
         let end_sn = base_sn + range_len as u64;
 
         // `live` is now the post state the fold reads final paths from.
@@ -109,17 +119,17 @@ fn fold_plus_apply_matches_naive_replay() {
 
         let decoded = decode_delta(&delta.data)
             .unwrap_or_else(|e| panic!("case {case}: decode of a fresh fold failed: {e:?}"));
-        let mut patched = base.clone();
-        apply_delta(&mut patched, &decoded)
+        let patched = base;
+        apply_delta(&patched, &decoded)
             .unwrap_or_else(|e| panic!("case {case}: apply failed: {e:?}"));
         assert_eq!(
             patched.fingerprint(),
-            live.fingerprint(),
+            model.fingerprint(),
             "case {case}: fold+apply diverged from naive replay \
              (base {base_len} ops, range {range_len} ops)"
         );
-        assert_eq!(patched.num_files(), live.num_files(), "case {case}: file count");
-        assert_eq!(patched.num_dirs(), live.num_dirs(), "case {case}: dir count");
+        assert_eq!(patched.num_files(), model.num_files(), "case {case}: file count");
+        assert_eq!(patched.num_dirs(), model.num_dirs(), "case {case}: dir count");
     }
 }
 
@@ -130,27 +140,27 @@ fn fold_plus_apply_matches_naive_replay() {
 fn delta_applies_cleanly_at_every_intermediate_state() {
     for case in 0..cases() {
         let mut rng = SmallRng::seed_from_u64(0x000D_E17A_0002 ^ (case << 8));
-        let mut live = NamespaceTree::new();
+        let live = ShardedNamespace::new();
+        let mut model = Model::new();
         let base_len = rng.gen_range(0..150usize);
-        grow(&mut rng, &mut live, base_len);
+        grow(&mut rng, &live, &mut model, base_len);
         let base_sn = base_len as u64;
 
         // Record every intermediate state across the folded range.
         let range_len = rng.gen_range(1..120usize);
-        let mut snapshots = vec![live.clone()]; // state at S = base_sn
+        let mut snapshots = vec![copy(&live)]; // state at S = base_sn
         let mut journal = Vec::with_capacity(range_len);
-        for txn in grow(&mut rng, &mut live, range_len) {
-            journal.push(txn);
-            snapshots.push(live.clone());
+        for _ in 0..range_len {
+            journal.extend(grow(&mut rng, &live, &mut model, 1));
+            snapshots.push(copy(&live));
         }
         let end_sn = base_sn + range_len as u64;
         let delta = fold_delta(&live, base_sn, end_sn, journal.iter());
         let decoded = decode_delta(&delta.data).expect("fresh fold decodes");
 
-        let want = live.fingerprint();
-        for (i, snap) in snapshots.into_iter().enumerate() {
-            let mut patched = snap;
-            apply_delta(&mut patched, &decoded)
+        let want = model.fingerprint();
+        for (i, patched) in snapshots.into_iter().enumerate() {
+            apply_delta(&patched, &decoded)
                 .unwrap_or_else(|e| panic!("case {case}: apply at S = base+{i} failed: {e:?}"));
             assert_eq!(
                 patched.fingerprint(),
@@ -161,44 +171,41 @@ fn delta_applies_cleanly_at_every_intermediate_state() {
     }
 }
 
-/// The sharded namespace a live replica runs must accept the same deltas
-/// the flat tree does and land on the same fingerprint — the renewing
+/// A replica stood up by replaying the base journal on any shard count
+/// must accept the delta and land on the model's end state — the renewing
 /// consumer applies deltas straight onto its `ShardedNamespace`.
 #[test]
-fn sharded_apply_matches_tree_apply() {
+fn sharded_apply_matches_model_at_every_shard_count() {
     for case in 0..cases() {
         // Odd shard counts and 1 exercise the modulo layout edge cases.
         let shards = [1usize, 2, 4, 16][case as usize % 4];
         let mut rng = SmallRng::seed_from_u64(0x000D_E17A_0003 ^ (case << 8));
-        let mut live = NamespaceTree::new();
+        let live = ShardedNamespace::new();
+        let mut model = Model::new();
         let base_len = rng.gen_range(0..150usize);
-        let prefix = grow(&mut rng, &mut live, base_len);
-        let base = live.clone();
+        let prefix = grow(&mut rng, &live, &mut model, base_len);
 
         let range_len = rng.gen_range(1..200usize);
-        let journal = grow(&mut rng, &mut live, range_len);
+        let journal = grow(&mut rng, &live, &mut model, range_len);
         let delta =
             fold_delta(&live, base_len as u64, (base_len + range_len) as u64, journal.iter());
         let decoded = decode_delta(&delta.data).expect("fresh fold decodes");
 
-        // Stand a sharded replica up at the base state, then patch it.
-        let mut sharded = ShardedNamespace::with_shards(shards);
+        // Stand a replica up at the base state, then patch it.
+        let replica = ShardedNamespace::with_shards(shards);
         for txn in &prefix {
-            sharded.apply(txn).unwrap_or_else(|e| {
-                panic!("case {case}: sharded replay of committed txn failed: {e:?}")
-            });
+            replica
+                .apply(txn)
+                .unwrap_or_else(|e| panic!("case {case}: replay of committed txn failed: {e:?}"));
         }
-        apply_delta(&mut sharded, &decoded)
+        apply_delta(&replica, &decoded)
             .unwrap_or_else(|e| panic!("case {case}: sharded apply failed: {e:?}"));
-
-        let mut tree = base;
-        apply_delta(&mut tree, &decoded).expect("tree apply");
         assert_eq!(
-            sharded.fingerprint(),
-            tree.fingerprint(),
-            "case {case} ({shards} shards): sharded and tree apply diverged"
+            replica.fingerprint(),
+            model.fingerprint(),
+            "case {case} ({shards} shards): delta apply missed the model's end state"
         );
-        assert_eq!(sharded.fingerprint(), live.fingerprint(), "case {case}: vs naive replay");
+        assert_eq!(replica.fingerprint(), live.fingerprint(), "case {case}: vs live");
     }
 }
 
@@ -209,23 +216,24 @@ fn sharded_apply_matches_tree_apply() {
 fn double_apply_is_idempotent() {
     for case in 0..cases() {
         let mut rng = SmallRng::seed_from_u64(0x000D_E17A_0004 ^ (case << 8));
-        let mut live = NamespaceTree::new();
+        let live = ShardedNamespace::new();
+        let mut model = Model::new();
         let base_len = rng.gen_range(0..100usize);
-        grow(&mut rng, &mut live, base_len);
-        let base = live.clone();
+        grow(&mut rng, &live, &mut model, base_len);
+        let base = copy(&live);
 
         let range_len = rng.gen_range(1..150usize);
-        let journal = grow(&mut rng, &mut live, range_len);
+        let journal = grow(&mut rng, &live, &mut model, range_len);
         let delta =
             fold_delta(&live, base_len as u64, (base_len + range_len) as u64, journal.iter());
         let decoded = decode_delta(&delta.data).expect("fresh fold decodes");
 
-        let mut patched = base;
-        apply_delta(&mut patched, &decoded).expect("first apply");
+        let patched = base;
+        apply_delta(&patched, &decoded).expect("first apply");
         let once = patched.fingerprint();
-        apply_delta(&mut patched, &decoded).expect("second apply");
+        apply_delta(&patched, &decoded).expect("second apply");
         assert_eq!(patched.fingerprint(), once, "case {case}: double apply drifted");
-        assert_eq!(patched.fingerprint(), live.fingerprint(), "case {case}: vs replay");
+        assert_eq!(patched.fingerprint(), model.fingerprint(), "case {case}: vs replay");
     }
 }
 
@@ -236,10 +244,11 @@ fn double_apply_is_idempotent() {
 fn corruption_anywhere_is_detected() {
     for case in 0..cases() {
         let mut rng = SmallRng::seed_from_u64(0x000D_E17A_0005 ^ (case << 8));
-        let mut live = NamespaceTree::new();
-        grow(&mut rng, &mut live, 40);
+        let live = ShardedNamespace::new();
+        let mut model = Model::new();
+        grow(&mut rng, &live, &mut model, 40);
         let base_sn = 40u64;
-        let journal = grow(&mut rng, &mut live, 60);
+        let journal = grow(&mut rng, &live, &mut model, 60);
         let delta = fold_delta(&live, base_sn, base_sn + 60, journal.iter());
         assert!(decode_delta(&delta.data).is_ok(), "case {case}: clean delta decodes");
 

@@ -326,9 +326,9 @@ mod tests {
     #[test]
     fn image_chunk_flow() {
         let pool = new_shared_pool();
-        let mut t = mams_namespace::NamespaceTree::new();
+        let t = mams_namespace::ShardedNamespace::new();
         t.mkdir_p("/a/b").unwrap();
-        let img = mams_namespace::encode_image(&t, 5);
+        let img = mams_namespace::encode_image(&t.to_tree(), 5);
         let total = img.size_bytes();
         pool.lock().group_mut(0).write_image(1, img).unwrap();
         let mut n = PoolNode::new(pool);
@@ -373,37 +373,23 @@ mod tests {
     }
 
     #[test]
-    fn pool_images_are_v2_and_stream_decode() {
+    fn pool_images_stream_decode() {
         let pool = new_shared_pool();
-        let mut t = mams_namespace::NamespaceTree::new();
+        let t = mams_namespace::ShardedNamespace::new();
         t.mkdir_p("/a/b").unwrap();
         for i in 0..50 {
             t.create(&format!("/a/b/f{i}"), 3).unwrap();
         }
-        let img = mams_namespace::encode_image(&t, 5);
-        assert_eq!(img.version(), Some(mams_namespace::VERSION_V2));
+        let img = mams_namespace::encode_image(&t.to_tree(), 5);
+        assert_eq!(img.version(), Some(mams_namespace::image::VERSION));
         pool.lock().group_mut(0).write_image(1, img).unwrap();
         let mut n = PoolNode::new(pool);
-        let (t2, sn) = stream_image_from_pool(&mut n, 64);
-        assert_eq!(sn, 5);
-        assert_eq!(t2.fingerprint(), t.fingerprint());
-    }
-
-    #[test]
-    fn legacy_v1_pool_images_still_stream_decode() {
-        // An image written before the v2 cutover sits in the pool across
-        // the upgrade; a new junior must still restore from it.
-        let pool = new_shared_pool();
-        let mut t = mams_namespace::NamespaceTree::new();
-        t.mkdir_p("/legacy/dir").unwrap();
-        t.create("/legacy/dir/f", 2).unwrap();
-        let img = mams_namespace::encode_image_v1(&t, 9);
-        assert_eq!(img.version(), Some(mams_namespace::VERSION_V1));
-        pool.lock().group_mut(0).write_image(1, img).unwrap();
-        let mut n = PoolNode::new(pool);
-        let (t2, sn) = stream_image_from_pool(&mut n, 16);
-        assert_eq!(sn, 9);
-        assert_eq!(t2.fingerprint(), t.fingerprint());
+        for chunk_len in [16, 64] {
+            let (t2, sn) = stream_image_from_pool(&mut n, chunk_len);
+            assert_eq!(sn, 5);
+            let installed = mams_namespace::ShardedNamespace::from_tree(t2);
+            assert_eq!(installed.fingerprint(), t.fingerprint(), "chunks of {chunk_len}");
+        }
     }
 
     #[test]

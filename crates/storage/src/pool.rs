@@ -8,7 +8,7 @@ use bytes::Bytes;
 use mams_journal::{AppendOutcome, JournalLog, SharedBatch, Sn};
 use mams_namespace::{
     apply_delta, decode_delta, decode_image_with_window, encode_image_with_window, DeltaImage,
-    NamespaceImage,
+    NamespaceImage, ShardedNamespace,
 };
 use parking_lot::Mutex;
 
@@ -288,8 +288,10 @@ impl GroupStore {
         deltas.len() > max_chain || self.manifest.delta_bytes() > base_bytes.max(BYTE_FLOOR)
     }
 
-    /// Step 1: build the merged base (decode the current base, apply every
-    /// delta in chain order, re-encode at the chain's end sn) and store it
+    /// Step 1: build the merged base (decode the current base into a
+    /// namespace, apply every delta in chain order, re-encode at the chain's
+    /// end sn — byte-identical to an image of a namespace that executed the
+    /// same journal) and store it
     /// as a new unreferenced artifact. `Ok(None)` when there is nothing to
     /// merge. A corrupt artifact anywhere in the chain aborts with no state
     /// change — the chain is left for the next full checkpoint to supersede.
@@ -300,15 +302,16 @@ impl GroupStore {
         let base = self.manifest.base().expect("deltas imply a base").clone();
         let base_bytes =
             self.artifacts.get(&base.id).ok_or(PoolError::NoSuchArtifact { id: base.id })?;
-        let (mut tree, _, mut window) = decode_image_with_window(base_bytes.clone())
+        let (tree, _, mut window) = decode_image_with_window(base_bytes.clone())
             .map_err(|e| PoolError::Corrupt(format!("base {}: {e}", base.id)))?;
+        let ns = ShardedNamespace::from_tree(tree);
         let mut end_sn = base.end_sn;
         for entry in self.manifest.deltas() {
             let data =
                 self.artifacts.get(&entry.id).ok_or(PoolError::NoSuchArtifact { id: entry.id })?;
             let decoded = decode_delta(data)
                 .map_err(|e| PoolError::Corrupt(format!("delta {}: {e}", entry.id)))?;
-            apply_delta(&mut tree, &decoded)
+            apply_delta(&ns, &decoded)
                 .map_err(|e| PoolError::Corrupt(format!("delta {} apply: {e}", entry.id)))?;
             end_sn = decoded.end_sn;
             // Each windowed delta carries the full retry window as of its
@@ -319,7 +322,7 @@ impl GroupStore {
                 window = decoded.window;
             }
         }
-        let merged = encode_image_with_window(&tree, end_sn, &window);
+        let merged = encode_image_with_window(&ns.into_tree(), end_sn, &window);
         let id = self.alloc_artifact(merged.data.clone());
         self.staged_base = Some((id, merged));
         Ok(Some(id))
@@ -470,7 +473,16 @@ pub fn new_shared_pool() -> SharedPool {
 mod tests {
     use super::*;
     use mams_journal::{JournalBatch, Txn};
-    use mams_namespace::{encode_image, NamespaceTree};
+    use mams_namespace::encode_image;
+
+    /// A namespace after `txns` (all must apply).
+    fn ns_of(txns: impl IntoIterator<Item = Txn>) -> ShardedNamespace {
+        let ns = ShardedNamespace::new();
+        for txn in txns {
+            ns.apply(&txn).unwrap();
+        }
+        ns
+    }
 
     fn batch(sn: Sn) -> JournalBatch {
         JournalBatch::new(sn, sn, vec![Txn::Mkdir { path: format!("/d{sn}") }])
@@ -516,11 +528,8 @@ mod tests {
         for sn in 1..=10 {
             g.append_journal(1, batch(sn)).unwrap();
         }
-        let mut t = NamespaceTree::new();
-        for sn in 1..=7 {
-            t.mkdir(&format!("/d{sn}")).unwrap();
-        }
-        g.write_image(1, encode_image(&t, 7)).unwrap();
+        let t = ns_of((1..=7).map(|sn| Txn::Mkdir { path: format!("/d{sn}") }));
+        g.write_image(1, encode_image(&t.to_tree(), 7)).unwrap();
         assert_eq!(g.image().unwrap().checkpoint_sn, 7);
         // Journal before sn 7 is gone; readers fall back to the image.
         assert!(g.read_journal(3, 10).is_none());
@@ -550,12 +559,11 @@ mod tests {
     use mams_namespace::fold_delta;
 
     /// Build a group holding a base at `base_sn` plus `n_deltas` chained
-    /// deltas, each creating one file. Returns the final expected tree.
-    fn chained_group(base_sn: Sn, n_deltas: usize) -> (GroupStore, NamespaceTree) {
+    /// deltas, each creating one file. Returns the final expected namespace.
+    fn chained_group(base_sn: Sn, n_deltas: usize) -> (GroupStore, ShardedNamespace) {
         let mut g = GroupStore::default();
-        let mut t = NamespaceTree::new();
-        t.mkdir("/d").unwrap();
-        g.write_image(1, encode_image(&t, base_sn)).unwrap();
+        let t = ns_of([Txn::Mkdir { path: "/d".into() }]);
+        g.write_image(1, encode_image(&t.to_tree(), base_sn)).unwrap();
         for (i, sn) in (base_sn..base_sn + n_deltas as u64).enumerate() {
             let txn = Txn::Create { path: format!("/d/f{i}"), replication: 3 };
             // Fold reads the *final* state of touched paths, so apply first.
@@ -567,15 +575,16 @@ mod tests {
     }
 
     /// Decode base + deltas from the manifest like a consumer would.
-    fn resolve_chain(g: &GroupStore) -> NamespaceTree {
+    fn resolve_chain(g: &GroupStore) -> ShardedNamespace {
         let m = g.manifest().clone();
         let base = m.base().expect("base");
         let (data, _) = g.artifact_chunk(base.id, 0, u64::MAX).unwrap();
-        let (mut t, _) = mams_namespace::decode_image(data).unwrap();
+        let (tree, _) = mams_namespace::decode_image(data).unwrap();
+        let t = ShardedNamespace::from_tree(tree);
         for e in m.deltas() {
             let (data, _) = g.artifact_chunk(e.id, 0, u64::MAX).unwrap();
             let d = decode_delta(&data).unwrap();
-            apply_delta(&mut t, &d).unwrap();
+            apply_delta(&t, &d).unwrap();
         }
         t
     }
@@ -589,10 +598,9 @@ mod tests {
         assert_eq!(m.end_sn(), 8);
         assert_eq!(resolve_chain(&g).fingerprint(), t.fingerprint());
         // A gap is refused: the chain never silently forks.
-        let mut t2 = t.clone();
         let txn = Txn::Mkdir { path: "/gap".into() };
-        t2.apply(&txn).unwrap();
-        let bad = fold_delta(&t2, 10, 11, [&txn]);
+        t.apply(&txn).unwrap();
+        let bad = fold_delta(&t, 10, 11, [&txn]);
         assert_eq!(
             g.append_delta(1, bad).unwrap_err(),
             PoolError::DeltaChain { expected: 8, offered: 10 }
@@ -602,7 +610,7 @@ mod tests {
     #[test]
     fn delta_without_base_is_rejected() {
         let mut g = GroupStore::default();
-        let t = NamespaceTree::new();
+        let t = ShardedNamespace::new();
         let txn = Txn::Mkdir { path: "/x".into() };
         let delta = fold_delta(&t, 0, 1, [&txn]);
         assert!(matches!(g.append_delta(1, delta), Err(PoolError::DeltaChain { .. })));
@@ -620,12 +628,12 @@ mod tests {
     #[test]
     fn deltas_leave_journal_retained_from_base() {
         let mut g = GroupStore::default();
-        let mut t = NamespaceTree::new();
+        let t = ShardedNamespace::new();
         for sn in 1..=4 {
             g.append_journal(1, batch(sn)).unwrap();
             t.mkdir(&format!("/d{sn}")).unwrap();
         }
-        g.write_image(1, encode_image(&t, 4)).unwrap();
+        g.write_image(1, encode_image(&t.to_tree(), 4)).unwrap();
         for sn in 5..=6 {
             g.append_journal(1, batch(sn)).unwrap();
             let txn = Txn::Mkdir { path: format!("/d{sn}") };
@@ -644,9 +652,8 @@ mod tests {
     fn compaction_carries_retry_window_from_newest_delta() {
         use mams_namespace::{fold_delta_with_window, RetryEntry, RetryOutcome, RetryWindow};
         let mut g = GroupStore::default();
-        let mut t = NamespaceTree::new();
-        t.mkdir("/d").unwrap();
-        g.write_image(1, encode_image(&t, 1)).unwrap();
+        let t = ns_of([Txn::Mkdir { path: "/d".into() }]);
+        g.write_image(1, encode_image(&t.to_tree(), 1)).unwrap();
         // Delta 1 carries a window; delta 2 (pre-extension producer) does
         // not; delta 3 carries a newer window. The merged base must hold
         // delta 3's window.
@@ -665,10 +672,12 @@ mod tests {
         let m = g.manifest().clone();
         let base = m.base().expect("merged base");
         let (data, _) = g.artifact_chunk(base.id, 0, u64::MAX).unwrap();
-        let (merged, sn, win) = mams_namespace::decode_image_with_window(data).unwrap();
+        let (merged, sn, win) = mams_namespace::decode_image_with_window(data.clone()).unwrap();
         assert_eq!(sn, 4);
-        assert_eq!(merged.fingerprint(), t.fingerprint());
+        assert_eq!(ShardedNamespace::from_tree(merged).fingerprint(), t.fingerprint());
         assert_eq!(win, new_win);
+        let direct = mams_namespace::encode_image_with_window(&t.to_tree(), 4, &new_win);
+        assert_eq!(data, direct.data, "merged base is the executed namespace's image");
     }
 
     #[test]
@@ -683,6 +692,9 @@ mod tests {
         assert_eq!(m.base().unwrap().end_sn, 5);
         assert_eq!(resolve_chain(&g).fingerprint(), t.fingerprint());
         assert_eq!(g.image().unwrap().checkpoint_sn, 5);
+        // Byte-identical to an image of the namespace that executed the
+        // same journal.
+        assert_eq!(g.image().unwrap().data, encode_image(&t.to_tree(), 5).data);
         // Old artifacts are gone; their ids resolve to NoSuchArtifact.
         for id in old_ids {
             assert!(matches!(g.artifact_chunk(id, 0, 8), Err(PoolError::NoSuchArtifact { .. })));
@@ -742,12 +754,12 @@ mod tests {
         // Build a base heavier than the 64 KiB floor, then pile delta bytes
         // past it: the byte rule must trip even with a short chain.
         let mut g = GroupStore::default();
-        let mut t = NamespaceTree::new();
+        let t = ShardedNamespace::new();
         t.mkdir("/bulk").unwrap();
         for i in 0..3000 {
             t.create(&format!("/bulk/file-with-a-longish-name-{i:05}"), 3).unwrap();
         }
-        g.write_image(1, encode_image(&t, 1)).unwrap();
+        g.write_image(1, encode_image(&t.to_tree(), 1)).unwrap();
         let base_bytes = g.manifest().base().unwrap().bytes;
         assert!(base_bytes > 64 * 1024, "base must exceed the floor: {base_bytes}");
         let mut sn = 1;

@@ -9,17 +9,17 @@
 
 use mams_journal::{Sn, Txn};
 use mams_namespace::{
-    apply_delta, decode_delta, decode_image, encode_image, fold_delta, NamespaceTree,
+    apply_delta, decode_delta, decode_image, encode_image, fold_delta, ShardedNamespace,
 };
 use mams_storage::{GroupStore, Manifest, PoolError};
 
 /// A group with a base image at `base_sn` and `n_deltas` single-txn deltas
-/// chained on top. Returns the store and the live (end-of-chain) tree.
-fn chained_group(base_sn: Sn, n_deltas: usize) -> (GroupStore, NamespaceTree) {
+/// chained on top. Returns the store and the live (end-of-chain) namespace.
+fn chained_group(base_sn: Sn, n_deltas: usize) -> (GroupStore, ShardedNamespace) {
     let mut g = GroupStore::default();
-    let mut t = NamespaceTree::new();
+    let t = ShardedNamespace::new();
     t.mkdir("/d").unwrap();
-    g.write_image(1, encode_image(&t, base_sn)).unwrap();
+    g.write_image(1, encode_image(&t.to_tree(), base_sn)).unwrap();
     for (i, sn) in (base_sn..base_sn + n_deltas as u64).enumerate() {
         let txn = Txn::Create { path: format!("/d/f{i}"), replication: 3 };
         // Fold reads the *final* state of touched paths, so apply first.
@@ -37,7 +37,7 @@ fn chained_group(base_sn: Sn, n_deltas: usize) -> (GroupStore, NamespaceTree) {
 struct SimConsumer {
     manifest: Manifest,
     applied: Sn,
-    tree: NamespaceTree,
+    ns: ShardedNamespace,
     /// Manifest re-resolutions forced by `NoSuchArtifact`.
     replans: usize,
 }
@@ -47,7 +47,7 @@ impl SimConsumer {
         SimConsumer {
             manifest: g.manifest().clone(),
             applied: 0,
-            tree: NamespaceTree::new(),
+            ns: ShardedNamespace::new(),
             replans: 0,
         }
     }
@@ -76,11 +76,11 @@ impl SimConsumer {
                 fetched += total;
                 if entry.base_sn == entry.end_sn {
                     let (t, sn) = decode_image(data).expect("base decodes");
-                    self.tree = t;
+                    self.ns = ShardedNamespace::from_tree(t);
                     self.applied = sn;
                 } else {
                     let d = decode_delta(&data).expect("delta decodes");
-                    apply_delta(&mut self.tree, &d).expect("delta applies");
+                    apply_delta(&self.ns, &d).expect("delta applies");
                     self.applied = d.end_sn;
                 }
             }
@@ -102,7 +102,7 @@ fn stale_manifest_consumer_re_resolves_after_compaction() {
     let base = c.manifest.base().unwrap().clone();
     let (data, _) = g.artifact_chunk(base.id, 0, u64::MAX).unwrap();
     let (t, sn) = decode_image(data).unwrap();
-    c.tree = t;
+    c.ns = ShardedNamespace::from_tree(t);
     c.applied = sn;
 
     // Compaction merges the chain and GCs every artifact the consumer's
@@ -122,7 +122,7 @@ fn stale_manifest_consumer_re_resolves_after_compaction() {
     c.catch_up(&g);
     assert_eq!(c.replans, 1, "exactly one forced re-resolution");
     assert_eq!(c.applied, 14);
-    assert_eq!(c.tree.fingerprint(), live.fingerprint(), "state after retry");
+    assert_eq!(c.ns.fingerprint(), live.fingerprint(), "state after retry");
 }
 
 /// Between `compact_commit` and `compact_gc` the old artifacts are garbage
@@ -140,7 +140,7 @@ fn pre_swap_manifest_streams_until_gc() {
     c.manifest = stale.clone();
     c.catch_up(&g);
     assert_eq!(c.replans, 0, "no re-resolution needed before GC");
-    assert_eq!(c.tree.fingerprint(), live.fingerprint());
+    assert_eq!(c.ns.fingerprint(), live.fingerprint());
 
     // After GC the same stale manifest forces the retry path instead.
     g.compact_gc();
@@ -148,7 +148,7 @@ fn pre_swap_manifest_streams_until_gc() {
     c2.manifest = stale;
     c2.catch_up(&g);
     assert!(c2.replans >= 1, "GC'd chain must force a re-resolution");
-    assert_eq!(c2.tree.fingerprint(), live.fingerprint());
+    assert_eq!(c2.ns.fingerprint(), live.fingerprint());
 }
 
 /// Compaction is idempotent: a second merge over an already-merged chain is
@@ -167,7 +167,7 @@ fn double_compaction_is_a_noop() {
 
     let mut c = SimConsumer::new(&g);
     c.catch_up(&g);
-    assert_eq!(c.tree.fingerprint(), live.fingerprint());
+    assert_eq!(c.ns.fingerprint(), live.fingerprint());
 }
 
 /// Crash between `compact_begin` and `compact_commit`, then a fresh
@@ -188,7 +188,7 @@ fn compaction_retry_after_crash_before_commit() {
     );
     let mut c = SimConsumer::new(&g);
     c.catch_up(&g);
-    assert_eq!(c.tree.fingerprint(), live.fingerprint());
+    assert_eq!(c.ns.fingerprint(), live.fingerprint());
 }
 
 /// Crash between `compact_commit` and `compact_gc`: the merged chain is
@@ -203,7 +203,7 @@ fn deferred_gc_after_crash_between_commit_and_gc() {
     // "Crash" before GC; restart resolves fine and then sweeps.
     let mut c = SimConsumer::new(&g);
     c.catch_up(&g);
-    assert_eq!(c.tree.fingerprint(), live.fingerprint());
+    assert_eq!(c.ns.fingerprint(), live.fingerprint());
 
     g.compact_gc();
     for e in &old.chain {
@@ -225,14 +225,14 @@ fn journal_floor_and_chain_resume_after_compaction() {
     // Build the group the way a live producer does: journal first, then the
     // checkpoint at sn 3, then folded deltas covering (3, 7].
     let mut g = GroupStore::default();
-    let mut live = NamespaceTree::new();
+    let live = ShardedNamespace::new();
     live.mkdir("/d").unwrap();
     for sn in 1..=7u64 {
         let txn = Txn::Mkdir { path: format!("/d/j{sn}") };
         g.append_journal(1, mams_journal::JournalBatch::new(sn, sn, vec![txn.clone()])).unwrap();
         live.apply(&txn).unwrap();
         if sn == 3 {
-            g.write_image(1, encode_image(&live, 3)).unwrap();
+            g.write_image(1, encode_image(&live.to_tree(), 3)).unwrap();
         } else if sn > 3 {
             g.append_delta(1, fold_delta(&live, sn - 1, sn, [&txn])).unwrap();
         }
@@ -251,5 +251,5 @@ fn journal_floor_and_chain_resume_after_compaction() {
     let mut c = SimConsumer::new(&g);
     c.catch_up(&g);
     assert_eq!(c.applied, merged + 1);
-    assert_eq!(c.tree.fingerprint(), live.fingerprint());
+    assert_eq!(c.ns.fingerprint(), live.fingerprint());
 }

@@ -1,140 +1,24 @@
-//! Model-based randomized test: the namespace tree vs a flat reference
-//! model (a set of absolute paths with kinds). Every operation must agree
-//! with the model on success/failure *and* on the resulting state.
+//! Model-based randomized test: the namespace engine against the shared
+//! path-keyed reference model (`crates/namespace/tests/model`). Every
+//! operation must return exactly the model's result, errors included, and
+//! the final shape, counts and fingerprint must agree.
 //!
-//! These are seeded randomized tests, not `proptest` suites: the vendored
-//! `proptest` crate is an intentionally empty stand-in (see
-//! `vendor/proptest`), so property coverage comes from the vendored `rand`
-//! with fixed seeds — deterministic, shrink-free, CI-friendly.
-//! `PARITY_CASES` scales the number of cases (nightly runs more).
+//! Seeded randomized tests over the vendored `rand`: deterministic,
+//! shrink-free, CI-friendly. `PARITY_CASES` scales the number of cases
+//! (nightly runs more).
 
-use std::collections::BTreeMap;
+#[path = "../crates/namespace/tests/model/mod.rs"]
+mod model;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use mams::namespace::NamespaceTree;
+use mams::namespace::ShardedNamespace;
+use model::Model;
 
 /// Cases per test; override with `PARITY_CASES` (nightly runs elevated).
 fn cases() -> u64 {
     std::env::var("PARITY_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(256)
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    File,
-    Dir,
-}
-
-/// The reference model: path → kind, with "/" implicit.
-#[derive(Debug, Default)]
-struct Model {
-    entries: BTreeMap<String, Kind>,
-}
-
-impl Model {
-    fn parent_ok(&self, p: &str) -> bool {
-        match mams_parent(p) {
-            Some("/") => true,
-            Some(parent) => self.entries.get(parent) == Some(&Kind::Dir),
-            None => false,
-        }
-    }
-
-    fn exists(&self, p: &str) -> bool {
-        p == "/" || self.entries.contains_key(p)
-    }
-
-    fn children(&self, p: &str) -> Vec<String> {
-        let prefix = if p == "/" { "/".to_string() } else { format!("{p}/") };
-        self.entries
-            .keys()
-            .filter(|k| {
-                k.starts_with(&prefix)
-                    && !k[prefix.len()..].contains('/')
-                    && !k[prefix.len()..].is_empty()
-            })
-            .cloned()
-            .collect()
-    }
-
-    fn create(&mut self, p: &str) -> bool {
-        if self.exists(p) || !self.parent_ok(p) {
-            return false;
-        }
-        self.entries.insert(p.to_string(), Kind::File);
-        true
-    }
-
-    fn mkdir(&mut self, p: &str) -> bool {
-        if self.exists(p) || !self.parent_ok(p) {
-            return false;
-        }
-        self.entries.insert(p.to_string(), Kind::Dir);
-        true
-    }
-
-    fn delete(&mut self, p: &str, recursive: bool) -> bool {
-        match self.entries.get(p) {
-            None => false,
-            Some(Kind::File) => {
-                self.entries.remove(p);
-                true
-            }
-            Some(Kind::Dir) => {
-                if !self.children(p).is_empty() && !recursive {
-                    return false;
-                }
-                let prefix = format!("{p}/");
-                self.entries.retain(|k, _| k != p && !k.starts_with(&prefix));
-                true
-            }
-        }
-    }
-
-    fn rename(&mut self, src: &str, dst: &str) -> bool {
-        if src == dst
-            || !self.exists(src)
-            || src == "/"
-            || self.exists(dst)
-            || !self.parent_ok(dst)
-            || is_descendant(dst, src)
-        {
-            return false;
-        }
-        let src_prefix = format!("{src}/");
-        let moved: Vec<(String, Kind)> = self
-            .entries
-            .iter()
-            .filter(|(k, _)| k.as_str() == src || k.starts_with(&src_prefix))
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        for (k, _) in &moved {
-            self.entries.remove(k);
-        }
-        for (k, v) in moved {
-            let suffix = &k[src.len()..];
-            self.entries.insert(format!("{dst}{suffix}"), v);
-        }
-        true
-    }
-}
-
-fn mams_parent(p: &str) -> Option<&str> {
-    if p == "/" {
-        return None;
-    }
-    match p.rfind('/') {
-        Some(0) => Some("/"),
-        Some(i) => Some(&p[..i]),
-        None => None,
-    }
-}
-
-fn is_descendant(descendant: &str, ancestor: &str) -> bool {
-    descendant.len() > ancestor.len()
-        && descendant.starts_with(ancestor)
-        && descendant.as_bytes()[ancestor.len()] == b'/'
 }
 
 #[derive(Debug, Clone)]
@@ -168,71 +52,38 @@ fn rand_op(rng: &mut SmallRng) -> Op {
 }
 
 #[test]
-fn tree_agrees_with_the_reference_model() {
+fn namespace_agrees_with_the_reference_model() {
     for case in 0..cases() {
         let mut rng = SmallRng::seed_from_u64(0x4d0de1 ^ (case << 8));
         let n_ops = rng.gen_range(1..200usize);
         let ops: Vec<Op> = (0..n_ops).map(|_| rand_op(&mut rng)).collect();
-        let mut tree = NamespaceTree::new();
-        let mut model = Model::default();
+        let ns = ShardedNamespace::with_shards([1, 4, 16][case as usize % 3]);
+        let mut model = Model::new();
         for op in &ops {
             match op {
                 Op::Create(p) => {
-                    let t = tree.create(p, 1).is_ok();
-                    let m = model.create(p);
-                    assert_eq!(t, m, "case {case}: create {p} disagreed");
+                    assert_eq!(ns.create(p, 1), model.create(p, 1), "case {case}: create {p}")
                 }
-                Op::Mkdir(p) => {
-                    let t = tree.mkdir(p).is_ok();
-                    let m = model.mkdir(p);
-                    assert_eq!(t, m, "case {case}: mkdir {p} disagreed");
-                }
-                Op::Delete(p, r) => {
-                    let t = tree.delete(p, *r).is_ok();
-                    let m = model.delete(p, *r);
-                    assert_eq!(t, m, "case {case}: delete {p} (r={r}) disagreed");
-                }
+                Op::Mkdir(p) => assert_eq!(ns.mkdir(p), model.mkdir(p), "case {case}: mkdir {p}"),
+                Op::Delete(p, r) => assert_eq!(
+                    ns.delete(p, *r),
+                    model.delete(p, *r),
+                    "case {case}: delete {p} (r={r})"
+                ),
                 Op::Rename(s, d) => {
-                    let t = tree.rename(s, d).is_ok();
-                    let m = model.rename(s, d);
-                    assert_eq!(t, m, "case {case}: rename {s} -> {d} disagreed");
+                    assert_eq!(ns.rename(s, d), model.rename(s, d), "case {case}: rename {s} {d}")
                 }
-                Op::GetInfo(p) => {
-                    let t = tree.getfileinfo(p);
-                    assert_eq!(
-                        t.is_ok(),
-                        model.exists(p),
-                        "case {case}: getfileinfo {p} disagreed"
-                    );
-                    if let Ok(info) = t {
-                        if p != "/" {
-                            let kind = model.entries[p.as_str()];
-                            assert_eq!(info.is_dir, kind == Kind::Dir);
-                        }
-                    }
-                }
-                Op::List(p) => {
-                    if let Ok(mut names) = tree.list(p) {
-                        assert_eq!(
-                            model.entries.get(p.as_str()).copied(),
-                            if p == "/" { None } else { Some(Kind::Dir) }
-                        );
-                        let mut expected: Vec<String> = model
-                            .children(p)
-                            .iter()
-                            .map(|c| c.rsplit('/').next().unwrap().to_string())
-                            .collect();
-                        names.sort();
-                        expected.sort();
-                        assert_eq!(names, expected, "case {case}: list {p} disagreed");
-                    }
-                }
+                Op::GetInfo(p) => assert_eq!(
+                    ns.getfileinfo(p),
+                    model.getfileinfo(p),
+                    "case {case}: getfileinfo {p}"
+                ),
+                Op::List(p) => assert_eq!(ns.list(p), model.list(p), "case {case}: list {p}"),
             }
         }
         // Final shape agreement.
-        let files = model.entries.values().filter(|&&k| k == Kind::File).count() as u64;
-        let dirs = model.entries.values().filter(|&&k| k == Kind::Dir).count() as u64;
-        assert_eq!(tree.num_files(), files, "case {case}");
-        assert_eq!(tree.num_dirs(), dirs, "case {case}");
+        assert_eq!(ns.num_files(), model.num_files(), "case {case}");
+        assert_eq!(ns.num_dirs(), model.num_dirs(), "case {case}");
+        assert_eq!(ns.fingerprint(), model.fingerprint(), "case {case}");
     }
 }

@@ -2,19 +2,26 @@
 //! (DESIGN.md §4): encode/decode round trips, replay determinism, duplicate
 //! suppression, partition stability.
 //!
-//! These are seeded randomized tests, not `proptest` suites: the vendored
-//! `proptest` crate is an intentionally empty stand-in (see
-//! `vendor/proptest`), so property coverage comes from the vendored `rand`
-//! with fixed seeds — deterministic, shrink-free, CI-friendly.
+//! Seeded randomized tests over the vendored `rand`: deterministic,
+//! shrink-free, CI-friendly. Namespace results are held to the shared
+//! path-keyed reference model (`crates/namespace/tests/model`).
 //! `PARITY_CASES` overrides the per-test case count (nightly runs more).
+
+#[path = "../crates/namespace/tests/model/mod.rs"]
+mod model;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use mams::journal::{
-    decode_batch, encode_batch, AppendOutcome, JournalBatch, JournalLog, ReplayCursor, Txn,
+    decode_batch, encode_batch, fnv1a64, AppendOutcome, EncodeError, JournalBatch, JournalLog,
+    ReplayCursor, Txn,
 };
-use mams::namespace::{decode_image, encode_image, NamespaceTree, Partitioner};
+use mams::namespace::{
+    decode_image, encode_image, ImageError, NamespaceImage, NamespaceTree, Partitioner,
+    ShardedNamespace, ShardedReplaySession, StreamingImageDecoder,
+};
+use model::Model;
 
 /// Cases for a test defaulting to `default`; `PARITY_CASES` overrides.
 fn cases(default: u64) -> u64 {
@@ -69,15 +76,42 @@ fn rand_batch(rng: &mut SmallRng, sn: u64) -> JournalBatch {
 }
 
 /// A random sequence of *valid* operations: ops are generated blind but
-/// only the ones the tree accepts are journaled, exactly like the active.
-fn apply_random_ops(tree: &mut NamespaceTree, ops: &[Txn]) -> Vec<Txn> {
+/// only the ones the namespace accepts are journaled, exactly like the
+/// active. Every result must match the reference model's.
+fn apply_random_ops(ns: &ShardedNamespace, model: &mut Model, ops: &[Txn]) -> Vec<Txn> {
     let mut journaled = Vec::new();
     for op in ops {
-        if tree.apply(op).is_ok() {
+        let result = ns.apply(op);
+        assert_eq!(result, model.apply(op), "namespace and model disagree on {op:?}");
+        if result.is_ok() {
             journaled.push(op.clone());
         }
     }
     journaled
+}
+
+/// A namespace (and its model) after random ops.
+fn random_namespace(rng: &mut SmallRng, max_ops: usize) -> (ShardedNamespace, Model) {
+    let ops = rand_txns(rng, 1, max_ops);
+    let (ns, mut model) = (ShardedNamespace::new(), Model::new());
+    apply_random_ops(&ns, &mut model, &ops);
+    (ns, model)
+}
+
+/// Fingerprint of a decoded image, through the engine that installs it.
+fn installed_fp(tree: NamespaceTree) -> u64 {
+    ShardedNamespace::from_tree(tree).fingerprint()
+}
+
+/// Rewrite the version field of a checksummed wire form (journal batch or
+/// image: both carry magic, a big-endian u16 version at bytes 4..6, and an
+/// FNV-1a-64 trailer) and re-seal it, so only the version is wrong.
+fn with_version(data: &[u8], version: u16) -> bytes::Bytes {
+    let mut body = data[..data.len() - 8].to_vec();
+    body[4..6].copy_from_slice(&version.to_be_bytes());
+    let sum = fnv1a64(&body);
+    body.extend_from_slice(&sum.to_be_bytes());
+    bytes::Bytes::from(body)
 }
 
 // -------------------------------------------------------------- journal
@@ -133,22 +167,20 @@ fn log_append_is_idempotent_and_contiguous() {
     }
 }
 
-// ------------------------------------------- journal wire format v1/v2
+// --------------------------------------------------- wire format version
 
-/// The legacy length-prefixed v1 wire form and the varint +
-/// prefix-compressed v2 form of the same batch decode to identical records
-/// through the one version-dispatching entry point.
+/// Journal bytes are outside input: a checksum-valid batch whose header
+/// names version 1 (the retired fixed-width format) is refused, never
+/// misparsed.
 #[test]
-fn journal_v1_and_v2_wire_decode_agree() {
+fn journal_decode_rejects_version_1() {
     for case in 0..cases(128) {
         let mut rng = SmallRng::seed_from_u64(0x10_0004 ^ (case << 8));
         let batch = rand_batch(&mut rng, 5);
-        let v1 = mams::journal::encode_batch_v1(&batch);
-        let v2 = encode_batch(&batch);
-        let from_v1 = decode_batch(v1).expect("v1 decodes");
-        let from_v2 = decode_batch(v2).expect("v2 decodes");
-        assert_eq!(from_v1, batch, "case {case}");
-        assert_eq!(from_v2, batch, "case {case}");
+        let wire = encode_batch(&batch);
+        let v1 = with_version(&wire, 1);
+        assert_eq!(decode_batch(v1).unwrap_err(), EncodeError::BadVersion(1), "case {case}");
+        assert_eq!(decode_batch(with_version(&wire, 2)).unwrap(), batch, "case {case}");
     }
 }
 
@@ -160,16 +192,18 @@ fn replay_reproduces_live_execution() {
     for case in 0..cases(64) {
         let mut rng = SmallRng::seed_from_u64(0x10_0005 ^ (case << 8));
         let ops = rand_txns(&mut rng, 1, 120);
-        let mut live = NamespaceTree::new();
-        let journaled = apply_random_ops(&mut live, &ops);
+        let live = ShardedNamespace::new();
+        let mut model = Model::new();
+        let journaled = apply_random_ops(&live, &mut model, &ops);
 
-        let mut replayed = NamespaceTree::new();
+        let replayed = ShardedNamespace::with_shards([1, 4, 16][case as usize % 3]);
         for txn in &journaled {
             replayed.apply(txn).expect("journaled txns always replay");
         }
         assert_eq!(live.fingerprint(), replayed.fingerprint(), "case {case}");
-        assert_eq!(live.num_files(), replayed.num_files(), "case {case}");
-        assert_eq!(live.num_dirs(), replayed.num_dirs(), "case {case}");
+        assert_eq!(model.fingerprint(), replayed.fingerprint(), "case {case}");
+        assert_eq!(model.num_files(), replayed.num_files(), "case {case}");
+        assert_eq!(model.num_dirs(), replayed.num_dirs(), "case {case}");
     }
 }
 
@@ -185,8 +219,9 @@ fn cursor_suppresses_duplicates() {
             let n = rng.gen_range(1..40usize);
             (0..n).map(|_| rng.gen_range(0..4usize)).collect()
         };
-        let mut source = NamespaceTree::new();
-        let journaled = apply_random_ops(&mut source, &ops);
+        let source = ShardedNamespace::new();
+        let mut model = Model::new();
+        let journaled = apply_random_ops(&source, &mut model, &ops);
         if journaled.is_empty() {
             continue;
         }
@@ -198,7 +233,7 @@ fn cursor_suppresses_duplicates() {
             .collect();
 
         // Clean replay.
-        let mut clean = NamespaceTree::new();
+        let clean = ShardedNamespace::new();
         let mut cur = ReplayCursor::new();
         for b in &batches {
             let mut sink = |_: u64, t: &Txn| {
@@ -208,7 +243,7 @@ fn cursor_suppresses_duplicates() {
         }
 
         // Messy replay: after each batch, re-offer some earlier batches.
-        let mut messy = NamespaceTree::new();
+        let messy = ShardedNamespace::new();
         let mut cur2 = ReplayCursor::new();
         for (i, b) in batches.iter().enumerate() {
             let mut sink = |_: u64, t: &Txn| {
@@ -224,7 +259,8 @@ fn cursor_suppresses_duplicates() {
                 }
             }
         }
-        assert_eq!(clean.fingerprint(), messy.fingerprint(), "case {case}");
+        assert_eq!(clean.fingerprint(), model.fingerprint(), "case {case}");
+        assert_eq!(messy.fingerprint(), model.fingerprint(), "case {case}");
         assert_eq!(cur.max_sn(), cur2.max_sn(), "case {case}");
     }
 }
@@ -237,15 +273,13 @@ fn cursor_suppresses_duplicates() {
 fn image_round_trips_and_chunks() {
     for case in 0..cases(48) {
         let mut rng = SmallRng::seed_from_u64(0x10_0007 ^ (case << 8));
-        let ops = rand_txns(&mut rng, 1, 100);
+        let (ns, model) = random_namespace(&mut rng, 100);
         let chunk = rng.gen_range(1..512u64);
-        let mut tree = NamespaceTree::new();
-        apply_random_ops(&mut tree, &ops);
-        let img = encode_image(&tree, 42);
+        let img = encode_image(&ns.to_tree(), 42);
 
         let (decoded, sn) = decode_image(img.data.clone()).expect("round trip");
         assert_eq!(sn, 42);
-        assert_eq!(decoded.fingerprint(), tree.fingerprint(), "case {case}");
+        assert_eq!(installed_fp(decoded), model.fingerprint(), "case {case}");
 
         // Chunked reassembly.
         let mut buf = Vec::new();
@@ -259,54 +293,40 @@ fn image_round_trips_and_chunks() {
             buf.extend_from_slice(&c);
         }
         let (rebuilt, _) = decode_image(bytes::Bytes::from(buf)).expect("chunked round trip");
-        assert_eq!(rebuilt.fingerprint(), tree.fingerprint(), "case {case}");
+        assert_eq!(installed_fp(rebuilt), model.fingerprint(), "case {case}");
     }
 }
 
-/// The legacy full-path v1 encoding and the parent-id delta v2 encoding of
-/// the same tree decode to identical namespaces, and v2 never comes out
-/// larger than v1.
+/// Images are outside input too: a checksum-valid image whose header
+/// names version 1 (the retired full-path format) is refused by the
+/// buffered decoder and by the streaming decoder at any chunk size.
 #[test]
-fn v1_and_v2_images_decode_to_the_same_tree() {
+fn image_decode_rejects_version_1() {
     for case in 0..cases(48) {
         let mut rng = SmallRng::seed_from_u64(0x10_0008 ^ (case << 8));
-        let ops = rand_txns(&mut rng, 1, 100);
-        let mut tree = NamespaceTree::new();
-        apply_random_ops(&mut tree, &ops);
+        let (ns, _) = random_namespace(&mut rng, 100);
+        let img: NamespaceImage = encode_image(&ns.to_tree(), 7);
+        let v1 = with_version(&img.data, 1);
+        assert_eq!(decode_image(v1.clone()).unwrap_err(), ImageError::BadVersion(1));
 
-        let v1 = mams::namespace::encode_image_v1(&tree, 7);
-        let v2 = encode_image(&tree, 7);
-        assert_eq!(v1.version(), Some(mams::namespace::VERSION_V1));
-        assert_eq!(v2.version(), Some(mams::namespace::VERSION_V2));
-        assert!(v2.size_bytes() <= v1.size_bytes(), "case {case}");
-
-        let (from_v1, sn1) = decode_image(v1.data.clone()).expect("v1 decodes");
-        let (from_v2, sn2) = decode_image(v2.data.clone()).expect("v2 decodes");
-        assert_eq!(sn1, 7);
-        assert_eq!(sn2, 7);
-        assert_eq!(from_v1.fingerprint(), tree.fingerprint(), "case {case}");
-        assert_eq!(from_v2.fingerprint(), tree.fingerprint(), "case {case}");
+        let chunk = rng.gen_range(1..300usize);
+        let mut dec = StreamingImageDecoder::new();
+        let verdict = v1.chunks(chunk).try_for_each(|piece| dec.push(piece));
+        assert_eq!(verdict.unwrap_err(), ImageError::BadVersion(1), "case {case}");
+        assert_eq!(dec.finish().unwrap_err(), ImageError::BadVersion(1), "case {case}");
+        assert!(decode_image(with_version(&img.data, 2)).is_ok(), "case {case}");
     }
 }
 
 /// Pushing an image through the streaming decoder in arbitrary-sized chunks
-/// yields exactly the buffered decode, for both wire versions.
+/// yields exactly the buffered decode.
 #[test]
 fn streaming_decode_matches_buffered_at_any_chunk_size() {
     for case in 0..cases(48) {
-        use mams::namespace::StreamingImageDecoder;
-
         let mut rng = SmallRng::seed_from_u64(0x10_0009 ^ (case << 8));
-        let ops = rand_txns(&mut rng, 1, 100);
+        let (ns, model) = random_namespace(&mut rng, 100);
         let chunk = rng.gen_range(1..300usize);
-        let legacy = rng.gen_bool(0.5);
-        let mut tree = NamespaceTree::new();
-        apply_random_ops(&mut tree, &ops);
-        let img = if legacy {
-            mams::namespace::encode_image_v1(&tree, 9)
-        } else {
-            encode_image(&tree, 9)
-        };
+        let img = encode_image(&ns.to_tree(), 9);
 
         let mut dec = StreamingImageDecoder::new();
         let mut pushed = 0u64;
@@ -320,11 +340,10 @@ fn streaming_decode_matches_buffered_at_any_chunk_size() {
         assert_eq!(sn, 9);
 
         let (buffered, _) = decode_image(img.data.clone()).expect("buffered decode");
-        assert_eq!(streamed.fingerprint(), buffered.fingerprint(), "case {case}");
-        assert_eq!(streamed.fingerprint(), tree.fingerprint(), "case {case}");
         // Re-encoding both yields the same bytes: the decoded trees are
         // structurally identical, not merely fingerprint-equal.
         assert_eq!(encode_image(&streamed, 9).data, encode_image(&buffered, 9).data);
+        assert_eq!(installed_fp(streamed), model.fingerprint(), "case {case}");
     }
 }
 
@@ -353,7 +372,7 @@ fn cached_resolution_matches_from_root_walk() {
     for case in 0..cases(96) {
         let mut rng = SmallRng::seed_from_u64(0x10_000a ^ (case << 8));
         let ops = rand_txns(&mut rng, 1, 150);
-        let mut tree = NamespaceTree::new();
+        let tree = ShardedNamespace::with_shards([1, 4, 16][case as usize % 3]);
         for op in &ops {
             let _ = tree.apply(op);
             // Probe immediately after each mutation: a stale cache entry
@@ -374,28 +393,31 @@ fn cached_resolution_matches_from_root_walk() {
 
 // ------------------------------------------------- replay session parity
 
-/// The validate-skip `ReplaySession` fast path must land on exactly the
-/// state a naive per-record `apply` produces, across histories whose
-/// renames and deletes relocate or remove the cached directories.
+/// The validate-skip `ShardedReplaySession` fast path must land on exactly
+/// the state a naive per-record `ShardedNamespace::apply` produces, across
+/// histories whose renames and deletes relocate or remove the cached
+/// directories.
 #[test]
 fn replay_session_matches_naive_apply() {
     for case in 0..cases(64) {
         let mut rng = SmallRng::seed_from_u64(0x10_000b ^ (case << 8));
         let ops = rand_txns(&mut rng, 1, 150);
-        let mut live = NamespaceTree::new();
-        let journaled = apply_random_ops(&mut live, &ops);
+        let live = ShardedNamespace::new();
+        let mut model = Model::new();
+        let journaled = apply_random_ops(&live, &mut model, &ops);
 
-        let mut naive = NamespaceTree::new();
+        let naive = ShardedNamespace::new();
         for t in &journaled {
             naive.apply(t).expect("journaled txns always replay");
         }
 
-        let mut fast = NamespaceTree::new();
-        let mut session = mams::namespace::ReplaySession::new();
+        let fast = ShardedNamespace::with_shards([1, 4, 16][case as usize % 3]);
+        let mut session = ShardedReplaySession::new();
         for t in &journaled {
-            session.apply(&mut fast, t).expect("journaled txns replay via the session");
+            session.apply(&fast, t).expect("journaled txns replay via the session");
         }
         assert_eq!(fast.fingerprint(), naive.fingerprint(), "case {case}");
+        assert_eq!(fast.fingerprint(), model.fingerprint(), "case {case}");
         assert_eq!(fast.num_files(), naive.num_files(), "case {case}");
         assert_eq!(fast.num_dirs(), naive.num_dirs(), "case {case}");
     }
@@ -425,7 +447,7 @@ fn shared_batch_replays_identically_via_sync_and_pool_paths() {
     // Path 1: the standby's SyncJournal ingest — it replays the shared
     // handle itself.
     let standby_copy = sealed.share();
-    let mut via_sync = NamespaceTree::new();
+    let via_sync = ShardedNamespace::new();
     let mut cur = ReplayCursor::new();
     let mut sink = |_: u64, t: &Txn| {
         via_sync.apply(t).expect("valid txn");
@@ -441,7 +463,7 @@ fn shared_batch_replays_identically_via_sync_and_pool_paths() {
         SharedBatch::ptr_eq(&tail[0], &sealed),
         "pool must return the shared allocation, not a copy"
     );
-    let mut via_pool = NamespaceTree::new();
+    let via_pool = ShardedNamespace::new();
     let mut cur2 = ReplayCursor::new();
     for b in &tail {
         let mut sink = |_: u64, t: &Txn| {
@@ -451,8 +473,8 @@ fn shared_batch_replays_identically_via_sync_and_pool_paths() {
     }
 
     assert_eq!(via_sync.fingerprint(), via_pool.fingerprint());
-    let img_sync = mams::namespace::encode_image(&via_sync, 1);
-    let img_pool = mams::namespace::encode_image(&via_pool, 1);
+    let img_sync = encode_image(&via_sync.to_tree(), 1);
+    let img_pool = encode_image(&via_pool.to_tree(), 1);
     assert_eq!(img_sync.data, img_pool.data, "replayed namespaces must be byte-identical");
     // And the wire form both paths would transmit is the single sealed
     // encoding.
