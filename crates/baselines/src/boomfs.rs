@@ -255,23 +255,27 @@ impl NsApp {
     fn new() -> Self {
         NsApp { ns: ShardedNamespace::new(), next_block: 1 }
     }
+
+    /// Execute an encoded op and encode its result.
+    fn exec(&mut self, cmd: &Bytes) -> Bytes {
+        let result: Result<OpOutput, String> = match wire::decode_op(cmd) {
+            Some(op) => exec_op(&self.ns, &mut self.next_block, op).map(|(_, out)| out),
+            None => Err("malformed command".into()),
+        };
+        wire::encode_result(&result)
+    }
 }
 
 impl RsmApp for NsApp {
-    fn apply(&mut self, _slot: u64, cmd: &Bytes) {
-        if let Some(op) = wire::decode_op(cmd) {
-            // Validation happens at apply time in an RSM; a failed op is a
-            // no-op on the state (all replicas agree on that too).
-            let _ = exec_op(&self.ns, &mut self.next_block, op);
-        }
+    /// Validation happens at apply time in an RSM: a failed op is a no-op
+    /// on the state (all replicas agree on that too), and its error is
+    /// what the proposer answers the client.
+    fn apply(&mut self, _slot: u64, cmd: &Bytes) -> Bytes {
+        self.exec(cmd)
     }
 
     fn query(&mut self, q: &Bytes) -> Bytes {
-        let result: Result<OpOutput, String> = match wire::decode_op(q) {
-            Some(op) => exec_op(&self.ns, &mut self.next_block, op).map(|(_, out)| out),
-            None => Err("malformed query".into()),
-        };
-        wire::encode_result(&result)
+        self.exec(q)
     }
 }
 
@@ -382,26 +386,19 @@ impl Node for BoomFsServer {
             Err(m) => m,
         };
         let msg = match msg.downcast::<RsmMsg>() {
-            Ok(RsmMsg::ProposeReply { req, committed, .. }) => {
+            // A reply carries the op's encoded result exactly when the RSM
+            // committed (write) or served (read) it.
+            Ok(
+                RsmMsg::ProposeReply { req, result, .. } | RsmMsg::QueryReply { req, result, .. },
+            ) => {
                 if let Some((client, seq)) = self.waiting.remove(&req) {
-                    if committed {
-                        self.reply(ctx, client, seq, Ok(OpOutput::Done));
-                    } else {
-                        ctx.send(client, MdsResp::NotActive { seq });
-                    }
-                }
-                return;
-            }
-            Ok(RsmMsg::QueryReply { req, ok, result, .. }) => {
-                if let Some((client, seq)) = self.waiting.remove(&req) {
-                    if ok {
-                        let decoded: Result<OpOutput, String> = result
-                            .as_deref()
-                            .and_then(wire::decode_result)
-                            .unwrap_or_else(|| Err("malformed query result".into()));
-                        self.reply(ctx, client, seq, decoded);
-                    } else {
-                        ctx.send(client, MdsResp::NotActive { seq });
+                    match result {
+                        Some(r) => {
+                            let decoded = wire::decode_result(&r)
+                                .unwrap_or_else(|| Err("malformed result".into()));
+                            self.reply(ctx, client, seq, decoded);
+                        }
+                        None => ctx.send(client, MdsResp::NotActive { seq }),
                     }
                 }
                 return;
@@ -524,6 +521,38 @@ mod tests {
         sim.run_for(Duration::from_secs(40));
         assert!(m.ok_count() > 300, "got {}", m.ok_count());
         assert_eq!(m.failed_count(), 0);
+    }
+
+    #[test]
+    fn committed_mutations_answer_with_their_own_result() {
+        let (mut sim, coord, _members) = boot(13);
+        let m = Metrics::new(false);
+        let history = mams_cluster::History::new();
+        let mut cfg = ClientConfig::new(coord, Partitioner::new(1));
+        cfg.start_delay = Duration::from_secs(10);
+        cfg.history = Some(mams_cluster::Recorder { client: 0, log: history.clone() });
+        let script = vec![
+            FsOp::Create { path: "/f".into(), replication: 3 },
+            FsOp::Create { path: "/f".into(), replication: 3 },
+            FsOp::Delete { path: "/nope".into(), recursive: false },
+            FsOp::AddBlock { path: "/f".into(), len: 1 << 20 },
+        ];
+        sim.add_node(
+            "client",
+            Box::new(FsClient::new(
+                cfg,
+                Workload::script(script),
+                m.clone(),
+                DetRng::seed_from_u64(7),
+            )),
+        );
+        sim.run_for(Duration::from_secs(20));
+        assert_eq!((m.ok_count(), m.failed_count()), (2, 2));
+        let recs = history.records();
+        assert!(matches!(&recs[0].output, Some(OpOutput::Info(i)) if i.path == "/f"), "{recs:?}");
+        assert!(recs[1].error.as_deref().is_some_and(|e| e.contains("already exists")));
+        assert!(recs[2].error.as_deref().is_some_and(|e| e.contains("no such file")));
+        assert!(matches!(recs[3].output, Some(OpOutput::Block(_))), "{recs:?}");
     }
 
     #[test]

@@ -1,295 +1,39 @@
-//! Wall-clock hot-path benchmark: the per-op work an active performs on the
-//! serve → journal → fan-out path, measured end to end — now with a
-//! multi-core sweep over the sharded namespace.
-//!
-//! A fixed-seed 100k-op create/getfileinfo/rename workload runs against a
-//! real [`ShardedNamespace`]; every `BATCH_OPS` mutations the accumulated
-//! transactions are sealed into a journal batch, appended to the worker's
-//! own log, fanned out to `STANDBYS` standby logs and one pool log, and
-//! encoded once for the SSP wire write — exactly the flush path in
-//! `mams-core::active`. With `N` threads the op budget is split into `N`
-//! shard-worker lanes (each with its own RNG stream, leaf-directory slice,
-//! file namespace, and journal fan-out, mirroring per-shard journaling
-//! order); reads go through the concurrent read path, one in every
-//! [`PIN_EVERY`] through a pinned epoch snapshot. The per-thread-count
-//! curve is written to `BENCH_hotpath.json` at the repo root so successive
-//! PRs can track the perf trajectory; the top-level fields stay the
-//! 1-thread run, comparable with the file's pre-sharding history.
-//!
-//! The file also records `host_cpus`: aggregate speedup is bounded by the
-//! cores actually present, so a sweep recorded on a 1-core builder shows
-//! the (small) coordination overhead of time-slicing, not the parallel
-//! scaling the sharded tree exists for — re-run on multi-core hardware to
-//! see the curve climb.
-//!
-//! # Latency mode
-//!
-//! Besides the wall-clock throughput sweep, the bench drives the *simulated*
-//! cluster to measure client-observed commit latency percentiles
-//! (p50/p99/p999) under two offered loads — a single think-time client
+//! Commit-latency benchmark of the simulated cluster: client-observed
+//! p50/p99/p999 under two offered loads — a single think-time client
 //! (idle: every op rides an empty batch) and a closed-loop fleet (loaded:
 //! batches fill and queueing dominates) — once with the fixed
 //! `flush_interval` cadence and once with the adaptive group-commit
-//! controller. The `latency` section of `BENCH_hotpath.json` records the
-//! curve; the claim under test is that adaptive pacing improves loaded p99
-//! without regressing idle latency.
+//! controller. The claim under test is that adaptive pacing improves loaded
+//! p99 without regressing idle latency.
+//!
+//! Every figure is simulated time under `CpuModel::default()`, so it is
+//! deterministic in the seed and the same on every host; no host
+//! fingerprint is recorded. Wall-clock measurement of the real flush path
+//! is `perfbench`'s job.
 //!
 //! Run from the repo root: `cargo run --release --bin bench_hotpath`
-//! (full sweep) or `-- --threads 2` (one thread count, no file write — the
-//! CI smoke) or `-- --latency` (short latency-percentile smoke, no file
-//! write) or `-- --latency --guard [pct]` (rerun the baseline's latency
-//! window — deterministic in the sim seed — and fail when loaded p99
+//! (writes the `latency` section of `BENCH_hotpath.json`) or
+//! `-- --latency` (short smoke, no file write) or `-- --latency --guard
+//! [pct]` (rerun the baseline's latency window and fail when loaded p99
 //! regressed more than `pct` percent, default 5, vs the checked-in
 //! `BENCH_hotpath.json`).
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 use mams_cluster::deploy::{self, DeploySpec};
 use mams_cluster::{Metrics, Workload};
 use mams_core::MdsTiming;
-use mams_journal::{JournalBatch, JournalLog, SharedBatch, Txn};
-use mams_namespace::ShardedNamespace;
 use mams_sim::{Duration, Sim, SimConfig};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 0x4d41_4d53; // "MAMS"
-const TOTAL_OPS: usize = 100_000;
-const BATCH_OPS: usize = 64;
-const STANDBYS: usize = 3;
-/// Every `PIN_EVERY`-th read pins an epoch snapshot instead of reading the
-/// newest published state, keeping the snapshot path under the measurement.
-const PIN_EVERY: u64 = 16;
-/// Thread counts of the default sweep.
-const SWEEP: [usize; 3] = [1, 2, 4];
 
-/// Directory fan-out of the pre-built tree: DIRS top-level dirs, each with
-/// SUBS subdirectories nested DEPTH deep (paths like `/d3/s1/s0/s2/f17`).
-const DIRS: usize = 16;
-const SUBS: usize = 4;
-const DEPTH: usize = 3;
-
-fn build_tree() -> (ShardedNamespace, Vec<String>) {
-    let ns = ShardedNamespace::new();
-    let mut leaves = Vec::new();
-    for d in 0..DIRS {
-        let top = format!("/d{d}");
-        ns.mkdir(&top).unwrap();
-        let mut level = vec![top];
-        for _ in 0..DEPTH {
-            let mut next = Vec::new();
-            for dir in &level {
-                for s in 0..SUBS {
-                    let sub = format!("{dir}/s{s}");
-                    ns.mkdir(&sub).unwrap();
-                    next.push(sub);
-                }
-            }
-            level = next;
-        }
-        leaves.extend(level);
-    }
-    (ns, leaves)
+/// The cost model every latency figure is measured under.
+fn cost_model() -> String {
+    let cpu = MdsTiming::default().cpu;
+    format!(
+        "simulated time, CpuModel::default() (read {}us, mutation {}us)",
+        cpu.read.micros(),
+        cpu.mutation.micros()
+    )
 }
-
-#[derive(Debug, Default, Clone, Copy)]
-struct Counters {
-    mutations: u64,
-    reads: u64,
-    batches: u64,
-    wire_bytes: u64,
-}
-
-/// One shard-worker lane: `ops` operations of the 30/60/10
-/// create/getfileinfo/rename mix against the shared namespace, with the
-/// lane's own journal fan-out (own log + standbys + pool, sealed once per
-/// `BATCH_OPS` mutations). `lane 0` with the full leaf set reproduces the
-/// historical single-thread workload exactly.
-fn worker(ns: &ShardedNamespace, leaves: &[String], lane: usize, ops: usize) -> Counters {
-    let mut rng = SmallRng::seed_from_u64(SEED ^ (lane as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let mut active_log = JournalLog::new();
-    let mut standby_logs: Vec<JournalLog> = (0..STANDBYS).map(|_| JournalLog::new()).collect();
-    let mut pool_log = JournalLog::new();
-
-    let mut files: Vec<String> = Vec::with_capacity(ops);
-    let mut pending: Vec<Txn> = Vec::with_capacity(BATCH_OPS);
-    let mut next_sn = 1u64;
-    let mut next_txid = 1u64;
-    // Lane-disjoint file numbering keeps path shapes identical to the
-    // historical bench while making cross-lane name collisions impossible.
-    let mut next_file = lane as u64 * 10_000_000;
-    let mut c = Counters::default();
-
-    let flush = |pending: &mut Vec<Txn>,
-                 next_sn: &mut u64,
-                 next_txid: &mut u64,
-                 active_log: &mut JournalLog,
-                 standby_logs: &mut [JournalLog],
-                 pool_log: &mut JournalLog,
-                 c: &mut Counters| {
-        if pending.is_empty() {
-            return;
-        }
-        let records = std::mem::take(pending);
-        // Seal once: the wire form is encoded exactly here, and every
-        // fan-out leg below shares the same allocation.
-        let batch = SharedBatch::sealed(JournalBatch::new(*next_sn, *next_txid, records));
-        *next_sn += 1;
-        *next_txid = batch.last_txid() + 1;
-        c.wire_bytes += batch.wire().len() as u64;
-        for log in standby_logs.iter_mut() {
-            log.append(batch.share()).unwrap();
-        }
-        pool_log.append(batch.share()).unwrap();
-        active_log.append(batch).unwrap();
-        c.batches += 1;
-    };
-
-    for _ in 0..ops {
-        let roll = rng.gen_range(0u32..100);
-        if roll < 30 || files.is_empty() {
-            // create
-            let dir = &leaves[rng.gen_range(0usize..leaves.len())];
-            let path = format!("{dir}/f{next_file}");
-            next_file += 1;
-            if ns.create(&path, 3).is_ok() {
-                pending.push(Txn::Create { path: path.clone(), replication: 3 });
-                files.push(path);
-                c.mutations += 1;
-            }
-        } else if roll < 90 {
-            // getfileinfo — concurrent read path; periodically through a
-            // pinned epoch snapshot.
-            let path = &files[rng.gen_range(0usize..files.len())];
-            if c.reads % PIN_EVERY == PIN_EVERY - 1 {
-                let view = ns.pin();
-                let _ = std::hint::black_box(view.getfileinfo(path));
-            } else {
-                let _ = std::hint::black_box(ns.getfileinfo(path));
-            }
-            c.reads += 1;
-        } else {
-            // rename: move a random file to a fresh name in another leaf dir.
-            let idx = rng.gen_range(0usize..files.len());
-            let src = files[idx].clone();
-            let dir = &leaves[rng.gen_range(0usize..leaves.len())];
-            let dst = format!("{dir}/r{next_file}");
-            next_file += 1;
-            if ns.rename(&src, &dst).is_ok() {
-                pending.push(Txn::Rename { src, dst: dst.clone() });
-                files[idx] = dst;
-                c.mutations += 1;
-            }
-        }
-        if pending.len() >= BATCH_OPS {
-            flush(
-                &mut pending,
-                &mut next_sn,
-                &mut next_txid,
-                &mut active_log,
-                &mut standby_logs,
-                &mut pool_log,
-                &mut c,
-            );
-        }
-    }
-    flush(
-        &mut pending,
-        &mut next_sn,
-        &mut next_txid,
-        &mut active_log,
-        &mut standby_logs,
-        &mut pool_log,
-        &mut c,
-    );
-
-    // Sanity: every replica of this lane holds the identical journal.
-    assert_eq!(active_log.tail_sn(), pool_log.tail_sn());
-    for log in &standby_logs {
-        assert_eq!(log.tail_sn(), active_log.tail_sn());
-    }
-    c
-}
-
-#[derive(Debug, Clone, Copy)]
-struct RunResult {
-    elapsed: f64,
-    c: Counters,
-    cache_hits: u64,
-    cache_misses: u64,
-}
-
-/// One full fixed-seed run at `threads` lanes. The op budget is split
-/// evenly; every lane works a disjoint slice of the leaf directories (a
-/// strided slice, so each still spans all top-level dirs) and the shared
-/// namespace absorbs all lanes concurrently.
-fn run_once(threads: usize) -> RunResult {
-    let (ns, leaves) = build_tree();
-    let ns = Arc::new(ns);
-    let hits0 = ns.cache_stats();
-    let ops_per_lane = TOTAL_OPS / threads;
-
-    let (elapsed, c) = if threads == 1 {
-        let start = Instant::now();
-        let c = worker(&ns, &leaves, 0, ops_per_lane);
-        (start.elapsed().as_secs_f64(), c)
-    } else {
-        let go = Arc::new(AtomicBool::new(false));
-        let handles: Vec<_> = (0..threads)
-            .map(|lane| {
-                let ns = Arc::clone(&ns);
-                let go = Arc::clone(&go);
-                let slice: Vec<String> =
-                    leaves.iter().skip(lane).step_by(threads).cloned().collect();
-                std::thread::spawn(move || {
-                    while !go.load(Ordering::Acquire) {
-                        std::hint::spin_loop();
-                    }
-                    worker(&ns, &slice, lane, ops_per_lane)
-                })
-            })
-            .collect();
-        let start = Instant::now();
-        go.store(true, Ordering::Release);
-        let counters: Vec<Counters> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let elapsed = start.elapsed().as_secs_f64();
-        let mut c = Counters::default();
-        for lc in counters {
-            c.mutations += lc.mutations;
-            c.reads += lc.reads;
-            c.batches += lc.batches;
-            c.wire_bytes += lc.wire_bytes;
-        }
-        (elapsed, c)
-    };
-    let stats = ns.cache_stats();
-    RunResult {
-        elapsed,
-        c,
-        cache_hits: stats.hits - hits0.hits,
-        cache_misses: stats.misses - hits0.misses,
-    }
-}
-
-/// Best-of-`REPS` at one thread count: wall-clock best-of-N is far less
-/// sensitive to scheduler noise than a single sample, and every run does
-/// exactly the same work.
-fn measure(threads: usize) -> RunResult {
-    const REPS: usize = 5;
-    let mut best: Option<RunResult> = None;
-    for _ in 0..REPS {
-        let r = run_once(threads);
-        best = Some(match best {
-            Some(b) if b.elapsed <= r.elapsed => b,
-            _ => r,
-        });
-    }
-    best.expect("REPS > 0")
-}
-
-// ------------------------------------------------------- latency mode
 
 /// One latency case: offered load + commit policy.
 #[derive(Debug, Clone, Copy)]
@@ -404,6 +148,7 @@ fn json_u64_field(line: &str, key: &str) -> Option<u64> {
 fn guard_latency(results: &[LatencyResult], pct: f64) {
     let baseline = std::fs::read_to_string("BENCH_hotpath.json")
         .expect("BENCH_hotpath.json baseline at the repo root (run the full bench to create it)");
+    println!("guard cost model: {}", cost_model());
     let mut failed = false;
     for r in results.iter().filter(|r| r.case.load == "loaded") {
         let policy = if r.case.adaptive { "adaptive" } else { "fixed" };
@@ -461,20 +206,14 @@ fn latency_json(results: &[LatencyResult]) -> String {
         _ => 1.0,
     };
     format!(
-        "  \"latency\": {{\n    \"cases\": [\n{rows}    ],\n    \
-         \"loaded_p99_fixed_over_adaptive\": {p99_gain:.3}\n  }}"
+        "  \"latency\": {{\n    \"cost_model\": \"{}\",\n    \"cases\": [\n{rows}    ],\n    \
+         \"loaded_p99_fixed_over_adaptive\": {p99_gain:.3}\n  }}",
+        cost_model()
     )
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let single: Option<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--threads takes a positive integer"));
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
     if args.iter().any(|a| a == "--latency") {
         if let Some(i) = args.iter().position(|a| a == "--guard") {
             // Guard mode (CI): rerun the baseline's exact (run, warmup)
@@ -489,89 +228,12 @@ fn main() {
         return;
     }
 
-    if let Some(threads) = single {
-        // Single-count mode (the CI smoke): run and report, leave the
-        // trajectory file alone.
-        assert!(threads >= 1, "--threads takes a positive integer");
-        let r = measure(threads);
-        let total = TOTAL_OPS / threads * threads;
-        println!(
-            "hotpath[{threads}t]: {total} ops ({} mutations, {} reads, {} batches, \
-             cache {}h/{}m) best of 5: {:.3}s -> {:.0} ops/s (host_cpus {host_cpus})",
-            r.c.mutations,
-            r.c.reads,
-            r.c.batches,
-            r.cache_hits,
-            r.cache_misses,
-            r.elapsed,
-            total as f64 / r.elapsed,
-        );
-        return;
-    }
-
-    let results: Vec<(usize, RunResult)> = SWEEP.iter().map(|&t| (t, measure(t))).collect();
     let latency = run_latency(20, 4);
-    let (_, one) = results[0];
-    let base_ops = TOTAL_OPS as f64 / one.elapsed;
-
-    let mut sweep_rows = String::new();
-    let mut speedup_4t = 1.0;
-    for (i, (threads, r)) in results.iter().enumerate() {
-        let total = TOTAL_OPS / threads * threads;
-        let ops_per_sec = total as f64 / r.elapsed;
-        let speedup = ops_per_sec / base_ops;
-        if *threads == 4 {
-            speedup_4t = speedup;
-        }
-        sweep_rows.push_str(&format!(
-            "    {{ \"threads\": {threads}, \"total_ops\": {total}, \"elapsed_s\": {:.6}, \
-             \"ops_per_sec\": {ops_per_sec:.1}, \"speedup_vs_1t\": {speedup:.3}, \
-             \"mutations\": {}, \"reads\": {}, \"batches\": {}, \"wire_bytes\": {}, \
-             \"cache_hits\": {}, \"cache_misses\": {} }}{}",
-            r.elapsed,
-            r.c.mutations,
-            r.c.reads,
-            r.c.batches,
-            r.c.wire_bytes,
-            r.cache_hits,
-            r.cache_misses,
-            if i + 1 < results.len() { ",\n" } else { "\n" },
-        ));
-        println!(
-            "hotpath[{threads}t]: {total} ops best of 5: {:.3}s -> {ops_per_sec:.0} ops/s \
-             ({speedup:.2}x vs 1t, cache {}h/{}m)",
-            r.elapsed, r.cache_hits, r.cache_misses,
-        );
-    }
-
-    let ops_per_sec = base_ops;
-    // Hand-rolled JSON: the offline serde_json stand-in cannot serialize,
-    // and this document is the repo's perf trajectory — it must hold real
-    // numbers in every environment. Top-level fields are the 1-thread run
-    // (comparable with the file's pre-sharding history); `threads_sweep`
-    // holds the curve. `host_cpus` bounds the believable speedup: on a
-    // 1-core builder the 4-thread row measures time-slicing overhead, not
-    // parallelism.
     let doc = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"seed\": {SEED},\n  \"reps\": 5,\n  \
-         \"total_ops\": {TOTAL_OPS},\n  \
-         \"mutations\": {},\n  \"reads\": {},\n  \"batches\": {},\n  \
-         \"standbys\": {STANDBYS},\n  \"wire_bytes\": {},\n  \"elapsed_s\": {:.6},\n  \
-         \"ops_per_sec\": {ops_per_sec:.1},\n  \
-         \"cache_hits\": {},\n  \"cache_misses\": {},\n  \
-         \"host_cpus\": {host_cpus},\n  \
-         \"aggregate_speedup_4t\": {speedup_4t:.3},\n  \
-         \"threads_sweep\": [\n{sweep_rows}  ],\n{}\n}}\n",
-        one.c.mutations,
-        one.c.reads,
-        one.c.batches,
-        one.c.wire_bytes,
-        one.elapsed,
-        one.cache_hits,
-        one.cache_misses,
-        latency_json(&latency),
+        "{{\n  \"bench\": \"hotpath\",\n  \"seed\": {SEED},\n{}\n}}\n",
+        latency_json(&latency)
     );
     let out = "BENCH_hotpath.json";
     std::fs::write(out, doc).expect("write BENCH_hotpath.json");
-    println!("saved {out} (host_cpus {host_cpus}, 4t speedup {speedup_4t:.2}x)");
+    println!("saved {out} ({})", cost_model());
 }

@@ -6,8 +6,12 @@
 //! active-standby switching and resend requests when needed. As the process
 //! is completely transparent to applications, the file system sees no
 //! errors occur in the case of failures." (Section III-C.)
+//!
+//! [`ClientCore`] is that mechanism, for any number of outstanding
+//! operations; any node can embed it (the MapReduce tasks do). [`FsClient`]
+//! is the closed-loop benchmark client built on it.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use mams_coord::{CoordEvent, CoordReq, CoordResp};
@@ -21,9 +25,13 @@ use crate::workload::Workload;
 
 const T_START: u64 = 1;
 const T_NEXT: u64 = 2;
-/// Operation timers use the op's seq as token; seqs start above the control
-/// token range.
+/// Seqs start above zero so every operation timer token is at least
+/// `1 << 20`: tokens below that belong to the node embedding the core.
 const SEQ_BASE: u64 = 1_000;
+const ATTEMPT_BITS: u32 = 20;
+const ATTEMPT_MASK: u64 = (1 << ATTEMPT_BITS) - 1;
+/// Retry delay after a `NotActive` reply (stale routing).
+const NOT_ACTIVE_RETRY: Duration = Duration::from_millis(50);
 
 /// Retry timers are scoped to `(seq, attempt)`: a firing only acts if the
 /// op is still outstanding *on that same attempt*. Without the attempt
@@ -32,7 +40,221 @@ const SEQ_BASE: u64 = 1_000;
 /// persistently unavailable group the live timer chains double on every
 /// round and the client melts down in an exponential retry storm.
 fn op_token(seq: u64, attempts: u32) -> u64 {
-    (seq << 20) | u64::from(attempts & 0xF_FFFF)
+    (seq << ATTEMPT_BITS) | (u64::from(attempts) & ATTEMPT_MASK)
+}
+
+/// A retried mutation may hit the result of its own earlier, half-acked
+/// execution; reconcile those errors into successes.
+fn reconcile_retry(op: &FsOp, err: &str) -> bool {
+    match op {
+        FsOp::Create { .. } | FsOp::Mkdir { .. } => err.contains("already exists"),
+        FsOp::Delete { .. } | FsOp::Rename { .. } => err.contains("no such file"),
+        _ => false,
+    }
+}
+
+#[derive(Debug)]
+struct Pending {
+    op: FsOp,
+    group: u32,
+    attempts: u32,
+    /// Whether the current attempt reached an active (false: no active
+    /// was known, so it waits for the next view listing).
+    sent: bool,
+    /// `Some(t)`: speculative request carrying `t` as its `min_token`.
+    min_token: Option<u64>,
+}
+
+/// A finished operation, as [`ClientCore::on_message`] reports it.
+#[derive(Debug)]
+pub struct Finished {
+    pub op: FsOp,
+    pub attempts: u32,
+    /// The server's reply, unmodified.
+    pub result: Result<OpOutput, String>,
+    /// Whether the reply counts as success: `Ok`, or on a retry an error
+    /// that matches the op's own earlier execution.
+    pub ok: bool,
+    /// Ordering token of a speculative reply.
+    pub token: Option<u64>,
+}
+
+/// Routing, retry and reconciliation for any number of outstanding
+/// operations. The embedding node forwards its timers and messages; timer
+/// tokens below `1 << 20` are left to it.
+pub struct ClientCore {
+    coord: NodeId,
+    partitioner: Partitioner,
+    op_timeout: Duration,
+    actives: HashMap<u32, NodeId>,
+    /// Keyed by seq; ordered, so listing resends are deterministic.
+    pending: BTreeMap<u64, Pending>,
+    next_seq: u64,
+    /// Receipt watermark piggybacked on every request: seqs are issued in
+    /// order, so every reply below the lowest outstanding seq has been
+    /// received. The server evicts exactly those retry-cache entries.
+    acked: u64,
+}
+
+impl ClientCore {
+    pub fn new(coord: NodeId, partitioner: Partitioner, op_timeout: Duration) -> Self {
+        ClientCore {
+            coord,
+            partitioner,
+            op_timeout,
+            actives: HashMap::new(),
+            pending: BTreeMap::new(),
+            next_seq: SEQ_BASE,
+            acked: 0,
+        }
+    }
+
+    /// Subscribe to the global view. Call from `on_start`.
+    pub fn start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.send(self.coord, CoordReq::Watch { prefix: "g/".into(), req: 0 });
+        self.refresh_view(ctx);
+    }
+
+    fn refresh_view(&self, ctx: &mut Ctx<'_>) {
+        ctx.send(self.coord, CoordReq::List { prefix: "g/".into(), req: 0 });
+    }
+
+    /// Issue `op`; its completion comes back through
+    /// [`ClientCore::on_message`]. `min_token` makes it a speculative
+    /// request (`MdsReq::OpSpec`).
+    pub fn submit(&mut self, ctx: &mut Ctx<'_>, op: FsOp, min_token: Option<u64>) {
+        self.next_seq += 1;
+        let seq = self.next_seq;
+        let group = self.partitioner.owner(op.primary_path());
+        self.pending.insert(seq, Pending { op, group, attempts: 0, sent: false, min_token });
+        self.attempt(ctx, seq);
+    }
+
+    fn attempt(&mut self, ctx: &mut Ctx<'_>, seq: u64) {
+        let Some(p) = self.pending.get_mut(&seq) else { return };
+        p.attempts += 1;
+        let token = op_token(seq, p.attempts);
+        if !self.send(ctx, seq) {
+            self.refresh_view(ctx);
+        }
+        ctx.set_timer(self.op_timeout, token);
+    }
+
+    /// Send op `seq` to its group's active, if one is known.
+    fn send(&mut self, ctx: &mut Ctx<'_>, seq: u64) -> bool {
+        let acked = self.acked;
+        let p = self.pending.get_mut(&seq).expect("pending op");
+        let Some(&active) = self.actives.get(&p.group) else {
+            p.sent = false;
+            return false;
+        };
+        p.sent = true;
+        let op = p.op.clone();
+        let req = match p.min_token {
+            Some(min_token) => MdsReq::OpSpec { op, seq, min_token, acked },
+            None => MdsReq::Op { op, seq, acked },
+        };
+        ctx.send(active, req);
+        true
+    }
+
+    /// Feed a timer through; `false` if it is the embedding node's.
+    pub fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> bool {
+        let seq = token >> ATTEMPT_BITS;
+        if seq == 0 {
+            return false;
+        }
+        // Re-resolve the active and resend with the same seq (server-side
+        // duplicate suppression makes this safe). Timers of superseded
+        // attempts are inert, so at most one retry chain is live per op.
+        if self.pending.get(&seq).is_some_and(|p| op_token(seq, p.attempts) == token) {
+            self.refresh_view(ctx);
+            self.attempt(ctx, seq);
+        }
+        true
+    }
+
+    fn absorb_active(&mut self, key: &str, value: Option<&str>) {
+        if let Some(group) = mams_core::keys::parse_active_key(key) {
+            match value.and_then(|v| v.parse().ok()) {
+                Some(n) => {
+                    self.actives.insert(group, n);
+                }
+                None => {
+                    self.actives.remove(&group);
+                }
+            }
+        }
+    }
+
+    fn finish(
+        &mut self,
+        seq: u64,
+        result: Result<OpOutput, String>,
+        token: Option<u64>,
+    ) -> Option<Finished> {
+        let p = self.pending.remove(&seq)?; // stale reply
+        self.acked = self.pending.keys().next().map_or(self.next_seq, |&m| m - 1);
+        let ok = match &result {
+            Ok(_) => true,
+            Err(e) => p.attempts > 1 && reconcile_retry(&p.op, e),
+        };
+        Some(Finished { op: p.op, attempts: p.attempts, result, ok, token })
+    }
+
+    /// Feed a message through: `Ok(Some(_))` when it finished an operation,
+    /// `Ok(None)` when it was other client traffic, `Err` when it is the
+    /// embedding node's.
+    pub fn on_message(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        msg: Message,
+    ) -> Result<Option<Finished>, Message> {
+        let msg = match MdsResp::from_message(msg) {
+            Ok(MdsResp::Reply { seq, result }) => return Ok(self.finish(seq, result, None)),
+            Ok(MdsResp::ReplySpec { seq, result, token }) => {
+                return Ok(self.finish(seq, result, Some(token)));
+            }
+            Ok(MdsResp::NotActive { seq }) => {
+                if let Some(p) = self.pending.get(&seq) {
+                    // Stale routing: refresh and retry shortly. The fast
+                    // timer shares the current attempt's token, so whichever
+                    // of it and the full timeout fires first supersedes the
+                    // other.
+                    let token = op_token(seq, p.attempts);
+                    self.refresh_view(ctx);
+                    ctx.set_timer(NOT_ACTIVE_RETRY, token);
+                }
+                return Ok(None);
+            }
+            Err(m) => m,
+        };
+        let msg = match msg.downcast::<CoordEvent>() {
+            Ok(CoordEvent::KeyChanged { key, value, .. }) => {
+                self.absorb_active(&key, value.as_deref());
+                return Ok(None);
+            }
+            Ok(_) => return Ok(None),
+            Err(m) => m,
+        };
+        match msg.downcast::<CoordResp>() {
+            Ok(CoordResp::Listing { entries, .. }) => {
+                for (k, v) in &entries {
+                    self.absorb_active(k, Some(v));
+                }
+                // An attempt that found no active was never sent; push it
+                // out now rather than waiting for its timeout.
+                let unsent: Vec<u64> =
+                    self.pending.iter().filter(|(_, p)| !p.sent).map(|(&s, _)| s).collect();
+                for seq in unsent {
+                    self.send(ctx, seq);
+                }
+                Ok(None)
+            }
+            Ok(_) => Ok(None),
+            Err(m) => Err(m),
+        }
+    }
 }
 
 /// Client tuning.
@@ -75,13 +297,10 @@ impl ClientConfig {
     }
 }
 
+/// The outstanding operation's client-side bookkeeping.
 #[derive(Debug)]
-struct Outstanding {
-    op: FsOp,
-    seq: u64,
+struct Current {
     issued: SimTime,
-    attempts: u32,
-    group: u32,
     /// The private-directory setup mkdir (idempotent by construction).
     is_setup: bool,
     /// Index of this op's record in the history log, when recording.
@@ -91,70 +310,36 @@ struct Outstanding {
 /// A closed-loop client (one outstanding operation).
 pub struct FsClient {
     cfg: ClientConfig,
+    core: ClientCore,
     workload: Workload,
     metrics: Arc<Metrics>,
     rng: DetRng,
-    seq: u64,
-    actives: HashMap<u32, NodeId>,
-    outstanding: Option<Outstanding>,
+    current: Option<Current>,
     setup: Option<String>,
     completed: u64,
     /// Last ordering token seen (speculative mode); sent as `min_token`.
     last_token: u64,
-    /// Cumulative receipt watermark piggybacked on every request: the
-    /// client is closed-loop (one op outstanding), so the last completed
-    /// seq means every reply at or below it has been received. The server
-    /// evicts exactly those retry-cache entries.
-    acked: u64,
 }
 
 impl FsClient {
     pub fn new(cfg: ClientConfig, workload: Workload, metrics: Arc<Metrics>, rng: DetRng) -> Self {
         let setup = workload.setup_dir();
+        let core = ClientCore::new(cfg.coord, cfg.partitioner, cfg.op_timeout);
         FsClient {
             cfg,
+            core,
             workload,
             metrics,
             rng,
-            seq: SEQ_BASE,
-            actives: HashMap::new(),
-            outstanding: None,
+            current: None,
             setup,
             completed: 0,
             last_token: 0,
-            acked: 0,
-        }
-    }
-
-    /// Wire form of an operation: default durable-ack, or `OpSpec` carrying
-    /// the last token when this client opted into speculative mode.
-    fn wire_req(&self, op: FsOp, seq: u64) -> MdsReq {
-        if self.cfg.speculative {
-            MdsReq::OpSpec { op, seq, min_token: self.last_token, acked: self.acked }
-        } else {
-            MdsReq::Op { op, seq, acked: self.acked }
-        }
-    }
-
-    fn refresh_view(&self, ctx: &mut Ctx<'_>) {
-        ctx.send(self.cfg.coord, CoordReq::List { prefix: "g/".into(), req: 0 });
-    }
-
-    fn absorb_active(&mut self, key: &str, value: Option<&str>) {
-        if let Some(group) = mams_core::keys::parse_active_key(key) {
-            match value.and_then(|v| v.parse().ok()) {
-                Some(n) => {
-                    self.actives.insert(group, n);
-                }
-                None => {
-                    self.actives.remove(&group);
-                }
-            }
         }
     }
 
     fn issue_next(&mut self, ctx: &mut Ctx<'_>) {
-        if self.outstanding.is_some() {
+        if self.current.is_some() {
             return;
         }
         if let Some(max) = self.cfg.max_ops {
@@ -172,97 +357,19 @@ impl FsClient {
                 None => return, // stream exhausted
             }
         };
-        self.seq += 1;
-        let group = self.cfg.partitioner.owner(op.primary_path());
         let rec = self
             .cfg
             .history
             .as_ref()
             .map(|h| h.log.invoke(h.client, op.clone(), is_setup, ctx.now().micros()));
-        self.outstanding = Some(Outstanding {
-            op,
-            seq: self.seq,
-            issued: ctx.now(),
-            attempts: 0,
-            group,
-            is_setup,
-            rec,
-        });
-        self.attempt(ctx);
+        self.current = Some(Current { issued: ctx.now(), is_setup, rec });
+        let min_token = self.cfg.speculative.then_some(self.last_token);
+        self.core.submit(ctx, op, min_token);
     }
 
-    fn attempt(&mut self, ctx: &mut Ctx<'_>) {
-        let (seq, group, op, attempts) = match &mut self.outstanding {
-            Some(o) => {
-                o.attempts += 1;
-                (o.seq, o.group, o.op.clone(), o.attempts)
-            }
-            None => return,
-        };
-        match self.actives.get(&group) {
-            Some(&active) => {
-                let req = self.wire_req(op, seq);
-                ctx.send(active, req);
-            }
-            None => {
-                self.refresh_view(ctx);
-            }
-        }
-        ctx.set_timer(self.cfg.op_timeout, op_token(seq, attempts));
-    }
-
-    /// A retried mutation may hit the result of its own earlier, half-acked
-    /// execution; reconcile those errors into successes.
-    pub(crate) fn reconcile_retry(op: &FsOp, err: &str) -> bool {
-        match op {
-            FsOp::Create { .. } | FsOp::Mkdir { .. } => err.contains("already exists"),
-            FsOp::Delete { .. } => err.contains("no such file"),
-            FsOp::Rename { .. } => err.contains("no such file"),
-            _ => false,
-        }
-    }
-
-    fn finish(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        ok: bool,
-        result: &Result<OpOutput, String>,
-        token: Option<u64>,
-    ) {
-        let o = self.outstanding.take().expect("outstanding op");
-        // Closed loop: completing seq N means every reply ≤ N was received.
-        self.acked = self.acked.max(o.seq);
-        self.metrics.record(o.issued, ctx.now(), ok);
-        if let (Some(idx), Some(h)) = (o.rec, self.cfg.history.as_ref()) {
-            h.log.complete(idx, ctx.now().micros(), result, ok, o.attempts);
-            if let Some(t) = token {
-                h.log.set_spec_token(idx, t);
-            }
-        }
-        self.completed += 1;
-        if self.cfg.think > Duration::ZERO {
-            ctx.set_timer(self.cfg.think, T_NEXT);
-        } else {
-            self.issue_next(ctx);
-        }
-    }
-
-    /// Shared completion path for `Reply` and `ReplySpec`.
-    fn handle_reply(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        seq: u64,
-        result: Result<OpOutput, String>,
-        token: Option<u64>,
-    ) {
-        let (matches, attempts, is_setup) = match &self.outstanding {
-            Some(o) => (o.seq == seq, o.attempts, o.is_setup),
-            None => (false, 0, false),
-        };
-        if !matches {
-            return;
-        }
-        if let Some(t) = token {
+    fn finish(&mut self, ctx: &mut Ctx<'_>, f: Finished) {
+        let cur = self.current.take().expect("outstanding op");
+        if let Some(t) = f.token {
             if t < self.last_token {
                 // The active changed and our speculatively acked suffix was
                 // discarded — the opt-in contract's loss signal.
@@ -274,108 +381,45 @@ impl FsClient {
             // on it, not on the discarded one.
             self.last_token = t;
         }
-        let ok = match &result {
-            Ok(_) => true,
-            Err(e) => {
-                (is_setup && e.contains("already exists"))
-                    || (attempts > 1
-                        && Self::reconcile_retry(
-                            &self.outstanding.as_ref().expect("matched").op,
-                            e,
-                        ))
-            }
-        };
+        let ok =
+            f.ok || cur.is_setup && f.result.as_ref().is_err_and(|e| e.contains("already exists"));
         if !ok {
             // A genuine error (e.g. AlreadyExists on a first attempt) is an
             // application-level failure; trace it for diagnosis.
-            let err = result.as_ref().err().cloned().unwrap_or_default();
-            let op = self.outstanding.as_ref().map(|o| format!("{:?}", o.op));
-            ctx.trace("client.op_failed", || format!("{op:?}: {err}"));
+            let err = f.result.as_ref().err().cloned().unwrap_or_default();
+            ctx.trace("client.op_failed", || format!("{:?}: {err}", f.op));
         }
-        self.finish(ctx, ok, &result, token);
+        self.metrics.record(cur.issued, ctx.now(), ok);
+        if let (Some(idx), Some(h)) = (cur.rec, self.cfg.history.as_ref()) {
+            h.log.complete(idx, ctx.now().micros(), &f.result, ok, f.attempts);
+            if let Some(t) = f.token {
+                h.log.set_spec_token(idx, t);
+            }
+        }
+        self.completed += 1;
+        if self.cfg.think > Duration::ZERO {
+            ctx.set_timer(self.cfg.think, T_NEXT);
+        } else {
+            self.issue_next(ctx);
+        }
     }
 }
 
 impl Node for FsClient {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.send(self.cfg.coord, CoordReq::Watch { prefix: "g/".into(), req: 0 });
-        self.refresh_view(ctx);
+        self.core.start(ctx);
         ctx.set_timer(self.cfg.start_delay, T_START);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == T_START || token == T_NEXT {
+        if !self.core.on_timer(ctx, token) && (token == T_START || token == T_NEXT) {
             self.issue_next(ctx);
-            return;
-        }
-        // Per-op timeout: if the op is still outstanding *on the attempt
-        // this timer belongs to*, re-resolve the active and resend with the
-        // same seq (server-side duplicate suppression makes this safe).
-        // Timers for superseded attempts are inert, so at most one retry
-        // chain is ever live per op.
-        let (seq, attempt) = (token >> 20, (token & 0xF_FFFF) as u32);
-        if self
-            .outstanding
-            .as_ref()
-            .is_some_and(|o| o.seq == seq && o.attempts & 0xF_FFFF == attempt)
-        {
-            self.refresh_view(ctx);
-            self.attempt(ctx);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
-        let msg = match MdsResp::from_message(msg) {
-            Ok(resp) => {
-                match resp {
-                    MdsResp::Reply { seq, result } => {
-                        self.handle_reply(ctx, seq, result, None);
-                    }
-                    MdsResp::ReplySpec { seq, result, token } => {
-                        self.handle_reply(ctx, seq, result, Some(token));
-                    }
-                    MdsResp::NotActive { seq } => {
-                        if let Some(o) = self.outstanding.as_ref().filter(|o| o.seq == seq) {
-                            // Stale routing: refresh and retry shortly. The
-                            // fast timer shares the current attempt's token,
-                            // so whichever of it and the full timeout fires
-                            // first supersedes the other.
-                            let token = op_token(seq, o.attempts);
-                            self.refresh_view(ctx);
-                            ctx.set_timer(Duration::from_millis(50), token);
-                        }
-                    }
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<CoordEvent>() {
-            Ok(ev) => {
-                if let CoordEvent::KeyChanged { key, value, .. } = ev {
-                    self.absorb_active(&key, value.as_deref());
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        if let Ok(CoordResp::Listing { entries, .. }) = msg.downcast::<CoordResp>() {
-            for (k, v) in &entries {
-                self.absorb_active(k, Some(v));
-            }
-            // If an op was blocked on routing, push it out now.
-            if let Some(o) = &self.outstanding {
-                if o.attempts == 1 && self.actives.contains_key(&o.group) {
-                    // First attempt may have been swallowed by missing
-                    // routing; resend immediately rather than waiting for
-                    // the timeout.
-                    let (seq, group, op) = (o.seq, o.group, o.op.clone());
-                    if let Some(&active) = self.actives.get(&group) {
-                        let req = self.wire_req(op, seq);
-                        ctx.send(active, req);
-                    }
-                }
-            }
+        if let Ok(Some(f)) = self.core.on_message(ctx, msg) {
+            self.finish(ctx, f);
         }
     }
 }
@@ -392,13 +436,13 @@ mod tests {
     #[test]
     fn reconcile_only_accepts_own_echoes() {
         let create = FsOp::Create { path: "/f".into(), replication: 1 };
-        assert!(FsClient::reconcile_retry(&create, "/f: already exists"));
-        assert!(!FsClient::reconcile_retry(&create, "/f: no such file or directory"));
+        assert!(reconcile_retry(&create, "/f: already exists"));
+        assert!(!reconcile_retry(&create, "/f: no such file or directory"));
         let del = FsOp::Delete { path: "/f".into(), recursive: false };
-        assert!(FsClient::reconcile_retry(&del, "/f: no such file or directory"));
-        assert!(!FsClient::reconcile_retry(&del, "/f: directory not empty"));
+        assert!(reconcile_retry(&del, "/f: no such file or directory"));
+        assert!(!reconcile_retry(&del, "/f: directory not empty"));
         let read = FsOp::GetFileInfo { path: "/f".into() };
-        assert!(!FsClient::reconcile_retry(&read, "/f: already exists"));
+        assert!(!reconcile_retry(&read, "/f: already exists"));
     }
 
     /// A fake MDS that ignores the first `drop_n` requests (forcing client

@@ -19,7 +19,7 @@ pub mod metrics;
 pub mod mttr;
 pub mod workload;
 
-pub use client::{ClientConfig, FsClient};
+pub use client::{ClientConfig, ClientCore, Finished, FsClient};
 pub use datasrv::DataServer;
 pub use deploy::{DeploySpec, Deployment};
 pub use history::{History, OpRecord, Recorder};

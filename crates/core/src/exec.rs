@@ -11,7 +11,7 @@ use crate::proto::{FsOp, OpOutput};
 ///
 /// Reads answer from a pinned epoch snapshot and journal nothing. In a
 /// single-threaded node the pin is vacuous, but it is the path a threaded
-/// deployment uses (see `bench_hotpath --threads`), and going through it
+/// deployment uses, and going through it
 /// keeps the snapshot machinery under the full protocol test surface: a
 /// pinned read observes exactly the applied-and-published prefix, never a
 /// mutation mid-apply.

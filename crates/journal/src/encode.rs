@@ -26,7 +26,7 @@
 
 use bytes::{Buf, Bytes};
 
-use crate::hash::{fnv1a64, peek_varint, HashingBuf, Varint};
+use crate::hash::{fnv1a64, HashingBuf, WireError, WireReader};
 use crate::txn::{AckRecord, JournalBatch, Txn};
 
 /// Format magic: "MAMSJRNL" truncated to 4 bytes.
@@ -128,92 +128,58 @@ fn put_txn(buf: &mut HashingBuf, prev: &mut String, t: &Txn) {
     }
 }
 
-/// A consuming view over the checksum-verified body.
-struct Reader<'a> {
-    w: &'a [u8],
+impl From<WireError> for EncodeError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated => EncodeError::Truncated,
+            WireError::BadVarint => EncodeError::BadVarint,
+        }
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn varint(&mut self) -> Result<u64, EncodeError> {
-        match peek_varint(self.w) {
-            Varint::Val(v, n) => {
-                self.w = &self.w[n..];
-                Ok(v)
-            }
-            Varint::Need => Err(EncodeError::Truncated),
-            Varint::Bad => Err(EncodeError::BadVarint),
+/// Rebuild a delta-encoded path into `prev` and return an owned copy.
+fn get_path(r: &mut WireReader<'_>, prev: &mut String) -> Result<String, EncodeError> {
+    let shared = r.varint()?;
+    if shared as usize > prev.len() || !prev.is_char_boundary(shared as usize) {
+        return Err(EncodeError::BadPrefix { shared, prev_len: prev.len() });
+    }
+    let suffix_len = r.varint()? as usize;
+    let suffix = std::str::from_utf8(r.take(suffix_len)?).map_err(|_| EncodeError::BadUtf8)?;
+    prev.truncate(shared as usize);
+    prev.push_str(suffix);
+    Ok(prev.clone())
+}
+
+fn get_txn(r: &mut WireReader<'_>, prev: &mut String) -> Result<Txn, EncodeError> {
+    let tag = r.u8()?;
+    Ok(match tag {
+        1 => {
+            let path = get_path(r, prev)?;
+            Txn::Create { path, replication: r.u8()? }
         }
-    }
-
-    fn u8(&mut self) -> Result<u8, EncodeError> {
-        let (&b, rest) = self.w.split_first().ok_or(EncodeError::Truncated)?;
-        self.w = rest;
-        Ok(b)
-    }
-
-    fn u16(&mut self) -> Result<u16, EncodeError> {
-        if self.w.len() < 2 {
-            return Err(EncodeError::Truncated);
+        2 => Txn::Mkdir { path: get_path(r, prev)? },
+        3 => {
+            let path = get_path(r, prev)?;
+            Txn::Delete { path, recursive: r.u8()? != 0 }
         }
-        let v = u16::from_be_bytes(self.w[..2].try_into().expect("2 bytes"));
-        self.w = &self.w[2..];
-        Ok(v)
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], EncodeError> {
-        if self.w.len() < n {
-            return Err(EncodeError::Truncated);
+        4 => {
+            let src = get_path(r, prev)?;
+            let dst = get_path(r, prev)?;
+            Txn::Rename { src, dst }
         }
-        let (head, rest) = self.w.split_at(n);
-        self.w = rest;
-        Ok(head)
-    }
-
-    /// Rebuild a delta-encoded path into `prev` and return an owned copy.
-    fn path(&mut self, prev: &mut String) -> Result<String, EncodeError> {
-        let shared = self.varint()?;
-        if shared as usize > prev.len() || !prev.is_char_boundary(shared as usize) {
-            return Err(EncodeError::BadPrefix { shared, prev_len: prev.len() });
+        5 => {
+            let path = get_path(r, prev)?;
+            let block_id = r.varint()?;
+            let len = r.varint()?;
+            Txn::AddBlock { path, block_id, len: len as u32 }
         }
-        let suffix_len = self.varint()? as usize;
-        let suffix =
-            std::str::from_utf8(self.bytes(suffix_len)?).map_err(|_| EncodeError::BadUtf8)?;
-        prev.truncate(shared as usize);
-        prev.push_str(suffix);
-        Ok(prev.clone())
-    }
-
-    fn txn(&mut self, prev: &mut String) -> Result<Txn, EncodeError> {
-        let tag = self.u8()?;
-        Ok(match tag {
-            1 => {
-                let path = self.path(prev)?;
-                Txn::Create { path, replication: self.u8()? }
-            }
-            2 => Txn::Mkdir { path: self.path(prev)? },
-            3 => {
-                let path = self.path(prev)?;
-                Txn::Delete { path, recursive: self.u8()? != 0 }
-            }
-            4 => {
-                let src = self.path(prev)?;
-                let dst = self.path(prev)?;
-                Txn::Rename { src, dst }
-            }
-            5 => {
-                let path = self.path(prev)?;
-                let block_id = self.varint()?;
-                let len = self.varint()?;
-                Txn::AddBlock { path, block_id, len: len as u32 }
-            }
-            6 => Txn::CloseFile { path: self.path(prev)? },
-            7 => {
-                let path = self.path(prev)?;
-                Txn::SetPerm { path, perm: self.u16()? }
-            }
-            t => return Err(EncodeError::BadTag(t)),
-        })
-    }
+        6 => Txn::CloseFile { path: get_path(r, prev)? },
+        7 => {
+            let path = get_path(r, prev)?;
+            Txn::SetPerm { path, perm: r.u16()? }
+        }
+        t => return Err(EncodeError::BadTag(t)),
+    })
 }
 
 /// Encode a batch into its on-disk/wire bytes.
@@ -242,19 +208,19 @@ pub fn encode_batch(batch: &JournalBatch) -> Bytes {
 }
 
 fn decode_body(body: &[u8]) -> Result<JournalBatch, EncodeError> {
-    let mut r = Reader { w: body };
+    let mut r = WireReader::new(body);
     let sn = r.varint()?;
     let first_txid = r.varint()?;
     let n = r.varint()? as usize;
     let mut records = Vec::with_capacity(n.min(body.len()));
     let mut prev = String::new();
     for _ in 0..n {
-        records.push(r.txn(&mut prev)?);
+        records.push(get_txn(&mut r, &mut prev)?);
     }
     // Body bytes past the records host the ack section (absent when the
     // batch owes nothing to clients).
     let mut acks = Vec::new();
-    if !r.w.is_empty() {
+    if !r.is_empty() {
         let count = r.varint()? as usize;
         acks.reserve(count.min(body.len()));
         for _ in 0..count {
@@ -267,7 +233,7 @@ fn decode_body(body: &[u8]) -> Result<JournalBatch, EncodeError> {
             }
             acks.push(AckRecord { record: record as u32, client: client as u32, seq, spec });
         }
-        if !r.w.is_empty() {
+        if !r.is_empty() {
             return Err(EncodeError::Truncated);
         }
     }

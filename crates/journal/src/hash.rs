@@ -1,5 +1,5 @@
-//! Shared checksum/varint primitives for the journal and image wire
-//! formats.
+//! Shared checksum/varint primitives and the bounded wire reader for the
+//! journal and image wire formats.
 //!
 //! One FNV-1a-64 implementation serves every on-disk format in the repo
 //! (journal batches, namespace images) and the in-memory tree fingerprint
@@ -167,6 +167,75 @@ pub fn peek_varint(w: &[u8]) -> Varint {
     Varint::Need
 }
 
+/// Why a [`WireReader`] read failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireError {
+    /// The input ended inside a field.
+    Truncated,
+    /// A varint longer than 10 bytes or overflowing 64 bits.
+    BadVarint,
+}
+
+/// The decode side of [`HashingBuf`]: a consuming, bounds-checked reader of
+/// big-endian integers, LEB128 varints and raw byte runs. The journal
+/// batch, delta image and retry-window decoders read through it, each
+/// mapping [`WireError`] into its own error type.
+#[derive(Debug)]
+pub struct WireReader<'a> {
+    w: &'a [u8],
+}
+
+impl<'a> WireReader<'a> {
+    pub fn new(w: &'a [u8]) -> Self {
+        WireReader { w }
+    }
+
+    /// Whether every byte has been consumed.
+    pub fn is_empty(&self) -> bool {
+        self.w.is_empty()
+    }
+
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        if self.w.len() < n {
+            return Err(WireError::Truncated);
+        }
+        let (head, rest) = self.w.split_at(n);
+        self.w = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
+    }
+
+    pub fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.take(1)?[0])
+    }
+
+    pub fn u16(&mut self) -> Result<u16, WireError> {
+        self.array().map(u16::from_be_bytes)
+    }
+
+    pub fn u32(&mut self) -> Result<u32, WireError> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    pub fn u64(&mut self) -> Result<u64, WireError> {
+        self.array().map(u64::from_be_bytes)
+    }
+
+    pub fn varint(&mut self) -> Result<u64, WireError> {
+        match peek_varint(self.w) {
+            Varint::Val(v, n) => {
+                self.w = &self.w[n..];
+                Ok(v)
+            }
+            Varint::Need => Err(WireError::Truncated),
+            Varint::Bad => Err(WireError::BadVarint),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,5 +302,32 @@ mod tests {
         }
         assert!(matches!(peek_varint(&[0x80]), Varint::Need));
         assert!(matches!(peek_varint(&[0xff; 11]), Varint::Bad));
+    }
+
+    #[test]
+    fn wire_reader_reads_what_hashing_buf_writes() {
+        let mut b = HashingBuf::with_capacity(32);
+        b.put_u8(7);
+        b.put_u16(300);
+        b.put_u32(0xdead_beef);
+        b.put_u64(u64::MAX);
+        b.put_varint(300);
+        b.put_slice(b"hi");
+        let out = b.seal();
+        let body = &out[..out.len() - 8];
+        let mut r = WireReader::new(body);
+        assert_eq!(r.u8(), Ok(7));
+        assert_eq!(r.u16(), Ok(300));
+        assert_eq!(r.u32(), Ok(0xdead_beef));
+        assert_eq!(r.u64(), Ok(u64::MAX));
+        assert_eq!(r.varint(), Ok(300));
+        assert_eq!(r.take(2), Ok(&b"hi"[..]));
+        assert!(r.is_empty());
+        assert_eq!(r.u8(), Err(WireError::Truncated));
+        // A short read consumes nothing.
+        let mut r = WireReader::new(&body[..2]);
+        assert_eq!(r.u32(), Err(WireError::Truncated));
+        assert_eq!(r.u16(), Ok(7 << 8 | 1));
+        assert_eq!(WireReader::new(&[0xff; 11]).varint(), Err(WireError::BadVarint));
     }
 }

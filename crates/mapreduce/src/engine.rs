@@ -10,14 +10,14 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use mams_cluster::ClientCore;
 use mams_core::FsOp;
 use mams_namespace::Partitioner;
 use mams_sim::{Ctx, Duration, Message, Node, NodeId, Sim};
 
-use crate::fsio::{FsIo, IoEvent};
 use crate::stats::JobStats;
 
-/// Worker-local timer tokens (FsIo owns tokens ≥ 2^32).
+/// Worker-local timer tokens (the client core owns tokens ≥ 2^20).
 const T_MAP_COMPUTE: u64 = 1;
 const T_REDUCE_COMPUTE: u64 = 2;
 
@@ -62,11 +62,17 @@ fn output(reduce: usize) -> String {
     format!("/job/out/part-{reduce}")
 }
 
+/// The tasks' file-system client: the same routing/retry core as the
+/// standalone client, with its default one-second attempt timeout.
+fn client(coord: NodeId, partitioner: Partitioner) -> ClientCore {
+    ClientCore::new(coord, partitioner, Duration::from_secs(1))
+}
+
 /// The job tracker: runs setup, assigns tasks, records completions.
 pub struct JobTracker {
     spec: JobSpec,
     workers: Vec<NodeId>,
-    io: FsIo,
+    io: ClientCore,
     stats: Arc<JobStats>,
     setup_pending: usize,
     map_queue: VecDeque<usize>,
@@ -87,7 +93,7 @@ impl JobTracker {
         JobTracker {
             spec,
             workers,
-            io: FsIo::new(coord, partitioner),
+            io: client(coord, partitioner),
             stats,
             setup_pending: 0,
             map_queue: (0..spec.maps).collect(),
@@ -123,7 +129,7 @@ impl Node for JobTracker {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         self.io.start(ctx);
         for dir in ["/job", "/job/tmp", "/job/out"] {
-            self.io.submit(ctx, FsOp::Mkdir { path: dir.into() });
+            self.io.submit(ctx, FsOp::Mkdir { path: dir.into() }, None);
             self.setup_pending += 1;
         }
     }
@@ -134,7 +140,7 @@ impl Node for JobTracker {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
         let msg = match self.io.on_message(ctx, msg) {
-            IoEvent::Completed { .. } => {
+            Ok(Some(_)) => {
                 if self.setup_pending > 0 {
                     self.setup_pending -= 1;
                     if self.setup_pending == 0 {
@@ -145,8 +151,8 @@ impl Node for JobTracker {
                 }
                 return;
             }
-            IoEvent::Consumed => return,
-            IoEvent::NotMine(m) => m,
+            Ok(None) => return,
+            Err(m) => m,
         };
         if let Ok(mr) = msg.downcast::<MrMsg>() {
             match mr {
@@ -191,25 +197,25 @@ enum TaskState {
 pub struct TaskWorker {
     spec: JobSpec,
     tracker: NodeId,
-    io: FsIo,
+    io: ClientCore,
     state: TaskState,
 }
 
 impl TaskWorker {
     pub fn new(coord: NodeId, partitioner: Partitioner, spec: JobSpec, tracker: NodeId) -> Self {
-        TaskWorker { spec, tracker, io: FsIo::new(coord, partitioner), state: TaskState::Idle }
+        TaskWorker { spec, tracker, io: client(coord, partitioner), state: TaskState::Idle }
     }
 
     fn start_map_write(&mut self, ctx: &mut Ctx<'_>, id: usize) {
         for r in 0..self.spec.reduces {
-            self.io.submit(ctx, FsOp::Create { path: intermediate(id, r), replication: 3 });
+            self.io.submit(ctx, FsOp::Create { path: intermediate(id, r), replication: 3 }, None);
         }
         self.state = TaskState::MapWriting { id, remaining: self.spec.reduces };
     }
 
     fn start_reduce_read(&mut self, ctx: &mut Ctx<'_>, id: usize) {
         for m in 0..self.spec.maps {
-            self.io.submit(ctx, FsOp::GetFileInfo { path: intermediate(m, id) });
+            self.io.submit(ctx, FsOp::GetFileInfo { path: intermediate(m, id) }, None);
         }
         self.state = TaskState::ReduceReading { id, remaining: self.spec.maps };
     }
@@ -258,7 +264,7 @@ impl Node for TaskWorker {
             }
             (T_REDUCE_COMPUTE, TaskState::ReduceComputing { id }) => {
                 let id = *id;
-                self.io.submit(ctx, FsOp::Create { path: output(id), replication: 3 });
+                self.io.submit(ctx, FsOp::Create { path: output(id), replication: 3 }, None);
                 self.state = TaskState::ReduceWriting { id };
             }
             _ => {}
@@ -267,12 +273,12 @@ impl Node for TaskWorker {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Message) {
         let msg = match self.io.on_message(ctx, msg) {
-            IoEvent::Completed { .. } => {
+            Ok(Some(_)) => {
                 self.op_completed(ctx);
                 return;
             }
-            IoEvent::Consumed => return,
-            IoEvent::NotMine(m) => m,
+            Ok(None) => return,
+            Err(m) => m,
         };
         if let Ok(mr) = msg.downcast::<MrMsg>() {
             match mr {

@@ -8,16 +8,16 @@
 //! directly as delayed map completions and stalled reduces.
 //!
 //! Components:
-//! * [`FsIo`] — an embedded file-system port (routing, retry, duplicate
-//!   reconciliation) usable from any node, mirroring `mams-cluster`'s
-//!   standalone client,
 //! * [`JobTracker`] / [`TaskWorker`] — scheduling and execution,
 //! * [`JobStats`] — per-task completion timestamps for the CDF plots.
+//!
+//! Tasks reach the metadata service through `mams-cluster`'s
+//! [`ClientCore`](mams_cluster::ClientCore), the routing, retry and
+//! reconciliation engine of the benchmark client, so a job sees the
+//! failover exactly as any other client does.
 
 pub mod engine;
-pub mod fsio;
 pub mod stats;
 
 pub use engine::{build_job, JobSpec, JobTracker, MrMsg, TaskWorker};
-pub use fsio::{FsIo, IoEvent};
 pub use stats::JobStats;

@@ -30,7 +30,7 @@
 use std::collections::BTreeSet;
 
 use bytes::Bytes;
-use mams_journal::hash::{fnv1a64, HashingBuf};
+use mams_journal::hash::{fnv1a64, HashingBuf, WireReader};
 use mams_journal::{Sn, Txn};
 
 use crate::image::ImageError;
@@ -293,44 +293,6 @@ pub fn encode_delta_with_window(
 
 // ------------------------------------------------------------------ decode
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ImageError> {
-        if self.buf.len() - self.at < n {
-            return Err(ImageError::Truncated);
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, ImageError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, ImageError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-    fn u32(&mut self) -> Result<u32, ImageError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-    fn u64(&mut self) -> Result<u64, ImageError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-    fn varint(&mut self) -> Result<u64, ImageError> {
-        match mams_journal::hash::peek_varint(&self.buf[self.at..]) {
-            mams_journal::hash::Varint::Val(v, n) => {
-                self.at += n;
-                Ok(v)
-            }
-            mams_journal::hash::Varint::Need => Err(ImageError::Truncated),
-            mams_journal::hash::Varint::Bad => Err(ImageError::Corrupt("bad varint".to_string())),
-        }
-    }
-}
-
 /// Decode a delta image, verifying the checksum first. Corruption anywhere
 /// in the artifact fails the whole decode: the consumer falls back down the
 /// recovery ladder instead of applying a half-trusted delta.
@@ -343,7 +305,7 @@ pub fn decode_delta(data: &[u8]) -> Result<DecodedDelta, ImageError> {
     if fnv1a64(body) != want {
         return Err(ImageError::BadChecksum);
     }
-    let mut r = Reader { buf: body, at: 0 };
+    let mut r = WireReader::new(body);
     let magic = r.u32()?;
     if magic != DELTA_MAGIC {
         return Err(ImageError::BadMagic(magic));
@@ -396,7 +358,7 @@ pub fn decode_delta(data: &[u8]) -> Result<DecodedDelta, ImageError> {
         entries.push(DeltaEntry { path, op });
     }
     let mut window = RetryWindow::new();
-    if r.at != body.len() {
+    if !r.is_empty() {
         // Optional retry-window section: 'W' + varint length + blob.
         let tag = r.u8()?;
         if tag != b'W' {
@@ -408,7 +370,7 @@ pub fn decode_delta(data: &[u8]) -> Result<DecodedDelta, ImageError> {
             return Err(ImageError::Corrupt("empty retry-window section".to_string()));
         }
     }
-    if r.at != body.len() {
+    if !r.is_empty() {
         return Err(ImageError::Corrupt("trailing garbage after entries".to_string()));
     }
     Ok(DecodedDelta { base_sn, end_sn, entries, window })

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use mams_journal::hash::{peek_varint, Fnv1a64, HashingBuf, Varint};
+use mams_journal::hash::{peek_varint, Fnv1a64, HashingBuf, Varint, WireError};
 use mams_journal::Sn;
 
 use crate::inode::{Inode, InodeId, ROOT_ID};
@@ -62,6 +62,15 @@ impl std::fmt::Display for ImageError {
 }
 
 impl std::error::Error for ImageError {}
+
+impl From<WireError> for ImageError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated => ImageError::Truncated,
+            WireError::BadVarint => ImageError::Corrupt("bad varint".into()),
+        }
+    }
+}
 
 /// A serialized namespace checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]

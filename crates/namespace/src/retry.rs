@@ -25,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use mams_journal::hash::{peek_varint, HashingBuf, Varint};
+use mams_journal::hash::{HashingBuf, WireReader};
 use mams_journal::Txn;
 
 use crate::image::ImageError;
@@ -167,7 +167,7 @@ impl RetryWindow {
 
     /// Decode a window section produced by [`encode_bytes`].
     pub fn decode_bytes(data: &[u8]) -> Result<RetryWindow, ImageError> {
-        let mut r = SectionReader { w: data };
+        let mut r = WireReader::new(data);
         let cap = r.varint()? as usize;
         if cap == 0 {
             return Err(ImageError::Corrupt("retry window cap 0".into()));
@@ -217,41 +217,10 @@ impl RetryWindow {
                 win.record(client as u32, seq, RetryEntry { outcome, token });
             }
         }
-        if !r.w.is_empty() {
+        if !r.is_empty() {
             return Err(ImageError::Corrupt("trailing bytes after retry window".into()));
         }
         Ok(win)
-    }
-}
-
-struct SectionReader<'a> {
-    w: &'a [u8],
-}
-
-impl<'a> SectionReader<'a> {
-    fn varint(&mut self) -> Result<u64, ImageError> {
-        match peek_varint(self.w) {
-            Varint::Val(v, n) => {
-                self.w = &self.w[n..];
-                Ok(v)
-            }
-            Varint::Need => Err(ImageError::Truncated),
-            Varint::Bad => Err(ImageError::Corrupt("bad varint in retry window".into())),
-        }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ImageError> {
-        if self.w.len() < n {
-            return Err(ImageError::Truncated);
-        }
-        let (head, rest) = self.w.split_at(n);
-        self.w = rest;
-        Ok(head)
-    }
-    fn u8(&mut self) -> Result<u8, ImageError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, ImageError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().expect("2 bytes")))
     }
 }
 

@@ -475,8 +475,7 @@ impl ShardedNamespace {
         self.num_dirs.load(Ordering::Relaxed)
     }
 
-    /// Resolution-cache hit/miss counters summed over shards (the bench
-    /// surfaces these in `BENCH_hotpath.json`).
+    /// Resolution-cache hit/miss counters summed over shards.
     pub fn cache_stats(&self) -> CacheStats {
         let mut s = CacheStats::default();
         for c in self.cache.iter() {

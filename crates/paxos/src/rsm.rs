@@ -26,8 +26,9 @@ const T_ELECTION: u64 = 2;
 
 /// Application state machine driven by the replicated log.
 pub trait RsmApp: Send {
-    /// Apply a committed command (called exactly once per slot, in order).
-    fn apply(&mut self, slot: u64, cmd: &Value);
+    /// Apply a committed command (called exactly once per slot, in order)
+    /// and return its result, which the leader sends to the proposer.
+    fn apply(&mut self, slot: u64, cmd: &Value) -> Value;
     /// Serve a read-only query (leader-side, after all committed entries
     /// are applied).
     fn query(&mut self, q: &Value) -> Value;
@@ -74,11 +75,13 @@ pub enum RsmMsg {
         cmd: Value,
         req: u64,
     },
-    /// Client write reply (`slot` set on success; `leader_hint` on redirect).
+    /// Client write reply (`slot` and the applied command's `result` set
+    /// on success; `leader_hint` on redirect).
     ProposeReply {
         req: u64,
         committed: bool,
         slot: Option<u64>,
+        result: Option<Value>,
         leader_hint: Option<NodeId>,
     },
     /// Client read request.
@@ -296,7 +299,7 @@ impl<A: RsmApp> RsmNode<A> {
                 .get(&slot)
                 .and_then(|s| s.acceptor.accepted().map(|(_, v)| v.clone()))
                 .expect("quorum-accepted slot has a local value");
-            self.app.apply(slot, &value);
+            let result = self.app.apply(slot, &value);
             self.commit_index += 1;
             ctx.trace("rsm.commit", || format!("slot {slot}"));
             if let Some((client, req)) = self.waiting_clients.remove(&slot) {
@@ -306,6 +309,7 @@ impl<A: RsmApp> RsmNode<A> {
                         req,
                         committed: true,
                         slot: Some(slot),
+                        result: Some(result),
                         leader_hint: Some(self.my_id()),
                     },
                 );
@@ -322,6 +326,8 @@ impl<A: RsmApp> RsmNode<A> {
                 Some((_, v)) => v.clone(),
                 None => break, // hole: wait for the leader's re-propose
             };
+            // Only the leader answers the proposer; a follower's result is
+            // the same and is dropped.
             self.app.apply(slot, &value);
             self.commit_index += 1;
             ctx.trace("rsm.commit", || format!("slot {slot} (follower)"));
@@ -469,6 +475,7 @@ impl<A: RsmApp + 'static> Node for RsmNode<A> {
                             req,
                             committed: false,
                             slot: None,
+                            result: None,
                             leader_hint: self.leader_hint,
                         },
                     );
@@ -519,8 +526,9 @@ mod tests {
     }
 
     impl RsmApp for VecApp {
-        fn apply(&mut self, _slot: u64, cmd: &Value) {
+        fn apply(&mut self, slot: u64, cmd: &Value) -> Value {
             self.applied.lock().push(cmd.clone());
+            Bytes::from(format!("slot={slot}"))
         }
         fn query(&mut self, _q: &Value) -> Value {
             Bytes::from(format!("len={}", self.applied.lock().len()))
@@ -550,11 +558,14 @@ mod tests {
             }
         }
         fn on_message(&mut self, _ctx: &mut Ctx<'_>, from: NodeId, msg: Message) {
-            if let Ok(RsmMsg::ProposeReply { committed, slot, leader_hint, .. }) =
+            if let Ok(RsmMsg::ProposeReply { committed, slot, result, leader_hint, .. }) =
                 msg.downcast::<RsmMsg>()
             {
                 if committed {
-                    self.committed.lock().push(slot.unwrap());
+                    let slot = slot.unwrap();
+                    // The proposer gets the applied command's result back.
+                    assert_eq!(result, Some(Bytes::from(format!("slot={slot}"))));
+                    self.committed.lock().push(slot);
                     self.next += 1;
                 } else if let Some(hint) = leader_hint {
                     if let Some(i) = self.members.iter().position(|&m| m == hint) {
