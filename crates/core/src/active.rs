@@ -320,6 +320,10 @@ impl MdsServer {
                 ctx.send(node, resp);
             }
             ReplyTo::XGroup { coordinator, xid } => {
+                // Leg acks go out once the leg's batch is durable (or the
+                // leg was rejected and journals nothing): resends of this
+                // xid may be re-acked from here on.
+                self.xg_seen.insert(xid, true);
                 let group = self.cfg.group;
                 ctx.send(coordinator, GroupMsg::XGroupAck { xid, group, ok: result.is_ok() });
             }
@@ -456,8 +460,9 @@ impl MdsServer {
     }
 
     /// Release replies: leg acks as soon as their batch is durable (any
-    /// order); client replies when their batch is fully complete, released
-    /// **out of order** across batches subject to per-shard FIFO.
+    /// order, which is also when the batch's latency feeds the flush
+    /// controller); client replies when their batch is fully complete,
+    /// released **out of order** across batches subject to per-shard FIFO.
     ///
     /// Safety: the pool's journal rejects gaps, so an `AppendOk` for batch
     /// `sn` proves every batch ≤ `sn` is durable in the SSP, and standby
@@ -472,9 +477,14 @@ impl MdsServer {
         let now = ctx.now();
         let mut leg_acks = Vec::new();
         for inf in self.inflight.values_mut() {
-            if inf.durable() && !inf.xg_acked {
-                inf.xg_acked = true;
+            if inf.durable() && !inf.durable_seen {
+                inf.durable_seen = true;
                 leg_acks.append(&mut inf.xg_replies);
+                // Group-commit ack latency (seal → durable) paces the
+                // adaptive flush controller. Waiting on this batch's own
+                // outgoing legs is not part of it: that would tie our
+                // cadence to other groups' ticks, and theirs to ours.
+                self.commit.observe_ack(now.since(inf.flushed_at));
             }
         }
         for (reply, result) in leg_acks {
@@ -485,11 +495,7 @@ impl MdsServer {
             ctx.trace("commit.ooo_release", || format!("{ooo} replies past an incomplete batch"));
         }
         for sn in drained {
-            if let Some(inf) = self.inflight.remove(&sn) {
-                // Group-commit ack latency (seal → fully released) feeds
-                // the adaptive flush controller.
-                self.commit.observe_ack(now.since(inf.flushed_at));
-            }
+            self.inflight.remove(&sn);
         }
         for (reply, result) in released {
             self.reply_now(ctx, reply, result);
@@ -614,12 +620,20 @@ impl MdsServer {
         if self.role != Role::Active {
             return; // coordinator's client retries after our group recovers
         }
-        if self.xg_seen.contains(&xid) {
-            // Already applied (the ack may have been lost): re-ack.
-            ctx.send(from, GroupMsg::XGroupAck { xid, group: self.cfg.group, ok: true });
-            return;
+        match self.xg_seen.get(&xid) {
+            // Already applied and durable (the ack may have been lost):
+            // re-ack.
+            Some(true) => {
+                ctx.send(from, GroupMsg::XGroupAck { xid, group: self.cfg.group, ok: true });
+                return;
+            }
+            // Still queued or not yet durable: the ack goes out when its
+            // batch is, and acking the resend now would let the
+            // coordinator answer its client before the leg can survive
+            // our failover.
+            Some(false) => return,
+            None => {}
         }
-        self.xg_seen.insert(xid);
         let op = match txn {
             Txn::Mkdir { path } => FsOp::Mkdir { path },
             Txn::Delete { path, recursive } => FsOp::Delete { path, recursive },
@@ -629,7 +643,11 @@ impl MdsServer {
                 return;
             }
         };
-        self.ingress.push_item(crate::ingress::IngressItem::Leg { coordinator: from, xid, op });
+        // A leg the full queue refused is not seen: the coordinator's
+        // resend must be admitted afresh.
+        if self.ingress.push_item(crate::ingress::IngressItem::Leg { coordinator: from, xid, op }) {
+            self.xg_seen.insert(xid, false);
+        }
     }
 
     /// Execute an admitted distributed-transaction leg.

@@ -10,12 +10,16 @@
 //! * **arrival rate** (EWMA of admitted ops per µs) — decides whether the
 //!   server is idle. An idle server keeps the configured base cadence, so
 //!   a lone op is never delayed longer than the fixed baseline would have.
-//! * **in-flight ack latency** (EWMA of seal→durable per batch) — paces
-//!   flushes under load. One batch per durability round-trip is the group
-//!   commit sweet spot: everything that arrives while the previous batch
-//!   commits rides the next seal, so batches grow exactly as fast as the
-//!   pipe is slow, and the in-flight window stays bounded even when a gray
-//!   standby stretches acks by orders of magnitude.
+//! * **in-flight ack latency** (EWMA of seal→durable per batch: the SSP
+//!   append plus every current standby's ack) — paces flushes under load.
+//!   A batch's outgoing cross-group legs are not part of it: they hold
+//!   client replies, not durability, and pacing on them would tie this
+//!   group's cadence to the other groups' ticks. One batch per durability
+//!   round-trip is the group commit sweet spot: everything that arrives
+//!   while the previous batch commits rides the next seal, so batches grow
+//!   exactly as fast as the pipe is slow, and the in-flight window stays
+//!   bounded even when a gray standby stretches acks by orders of
+//!   magnitude.
 //!
 //! The output interval is clamped to `[flush_min, flush_max]`. The policy
 //! is pure bookkeeping — no clocks, no I/O — so it is unit-testable in
@@ -43,7 +47,8 @@ pub struct GroupCommitPolicy {
     max_us: f64,
     /// EWMA of the admission rate, in ops per µs.
     rate_per_us: f64,
-    /// EWMA of batch durability latency (seal → last ack), in µs.
+    /// EWMA of batch durability latency (seal → last durability ack), in
+    /// µs.
     ack_us: f64,
 }
 

@@ -491,6 +491,14 @@ impl MdsServer {
         // predecessor's own `abort_inflight` semantics, reconstructed).
         self.retry_cache.clear();
         self.retry_cache.seed_from_window(&self.window);
+        // Cross-group transaction ids are unique per lock grant: a
+        // participant that saw the predecessor's `(group, n)` would
+        // otherwise re-ack our first legs without applying them.
+        self.next_xid = self.next_xid.max(self.epoch << 32);
+        // Legs we admitted in an earlier stint but never acked died with
+        // that stint's queue or inflight window; forget them so their
+        // coordinators' resends are applied rather than ignored.
+        self.xg_seen.retain(|_, acked| *acked);
         self.coord.multi(
             ctx,
             vec![

@@ -142,7 +142,9 @@ pub(crate) struct Inflight {
     pub client_replies: Vec<ClientReply>,
     /// Leg acknowledgements owed to other groups' coordinators.
     pub xg_replies: Vec<(ReplyTo, Result<OpOutput, String>)>,
-    pub xg_acked: bool,
+    /// The batch has turned durable once: its leg acks went out and its
+    /// seal → durable latency fed the flush controller.
+    pub durable_seen: bool,
     /// Seal time, for the adaptive controller's ack-latency signal.
     pub flushed_at: SimTime,
 }
@@ -280,12 +282,16 @@ pub struct MdsServer {
     pub(crate) renew_driver: Option<RenewDriver>,
     /// As coordinator: xid → the batch sn whose replies wait on it.
     pub(crate) xg_to_sn: HashMap<(u32, u64), Sn>,
-    /// As participant: xids already applied (duplicate suppression).
-    pub(crate) xg_seen: HashSet<(u32, u64)>,
+    /// As participant: xids already admitted (duplicate suppression),
+    /// mapped to whether the leg's ack has gone out — its batch durable,
+    /// or the leg rejected. Only those are re-acked on a resend.
+    pub(crate) xg_seen: HashMap<(u32, u64), bool>,
     /// As coordinator: legs still outstanding per xid (retried until every
     /// group acknowledges, so a mid-failover group cannot jam the
     /// in-order reply pipeline).
     pub(crate) xg_outstanding: HashMap<(u32, u64), XgOutstanding>,
+    /// Next coordinator xid. Raised to `epoch << 32` on every promotion,
+    /// so a new lock grant never reuses a predecessor's `(group, xid)`.
     pub(crate) next_xid: u64,
 
     // ---- member-side state ----
@@ -390,7 +396,7 @@ impl MdsServer {
             buffered: Vec::new(),
             renew_driver: None,
             xg_to_sn: HashMap::new(),
-            xg_seen: HashSet::new(),
+            xg_seen: HashMap::new(),
             xg_outstanding: HashMap::new(),
             next_xid: 1,
             registered: false,
